@@ -1,5 +1,7 @@
 //! Multiway intersection (§V extension): the d-of-(d+1) positional
-//! sweep vs probe counting on ordinary batmaps, for k = 2, 3, 4.
+//! sweep vs probe counting on ordinary batmaps, for k = 2, 3, 4; and
+//! the batched sparse-profile pass (a base of k−1 maps against 64
+//! candidates) vs one dense sweep per candidate.
 
 use batmap::{intersect_count_probe, Batmap, BatmapParams, MultiwayBatmap, MultiwayParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -17,6 +19,16 @@ fn bench_multiway(c: &mut Criterion) {
         .iter()
         .map(|s| MultiwayBatmap::build(mp.clone(), s).expect("load is safe"))
         .collect();
+    // 64 candidates of 1.7k–12k elements: narrower than the base
+    // operands, as rarer extensions of a frequent prefix are.
+    let cmaps: Vec<MultiwayBatmap> = (0..64u32)
+        .map(|i| {
+            let q = 11 + i;
+            let s: Vec<u32> = (0..m).filter(|x| x % q == i % 3).collect();
+            MultiwayBatmap::build_with_growth(mp.clone(), &s, 2).expect("growth recovers")
+        })
+        .collect();
+    let crefs: Vec<&MultiwayBatmap> = cmaps.iter().collect();
     let pp = Arc::new(BatmapParams::new(m as u64, 0x3A8));
     let pmaps: Vec<Batmap> = sets
         .iter()
@@ -31,6 +43,20 @@ fn bench_multiway(c: &mut Criterion) {
         });
         g.bench_function(BenchmarkId::new("probe_2of3", k), |b| {
             b.iter(|| black_box(intersect_count_probe(&prefs)))
+        });
+        let base = &mrefs[..k - 1];
+        g.bench_function(BenchmarkId::new("batched_many", k), |b| {
+            b.iter(|| black_box(MultiwayBatmap::intersect_count_many(base, &crefs)))
+        });
+        g.bench_function(BenchmarkId::new("dense_per_candidate", k), |b| {
+            b.iter(|| {
+                let mut ops = base.to_vec();
+                ops.push(crefs[0]);
+                for &cand in &crefs {
+                    ops[k - 1] = cand;
+                    black_box(MultiwayBatmap::intersect_count(&ops));
+                }
+            })
         });
     }
     g.finish();

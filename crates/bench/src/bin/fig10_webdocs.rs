@@ -1,7 +1,8 @@
 //! Figure 10: computation time on WebDocs prefixes.
 //!
-//! The real corpus is substituted by the Zipf+Heaps generator (DESIGN.md
-//! §2): the experiment's essentials — the number of distinct items grows
+//! The real corpus is substituted by the Zipf+Heaps generator
+//! (ARCHITECTURE.md, "Deviations from the paper", item 2): the
+//! experiment's essentials — the number of distinct items grows
 //! rapidly with prefix size — are preserved. Paper's shape: Apriori's
 //! time explodes on small prefixes already (its memory is quadratic in
 //! the fast-growing vocabulary); FP-growth lasts longer; the GPU

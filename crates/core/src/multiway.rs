@@ -22,7 +22,16 @@
 //! The multiway structure here stores full permuted values (no 8-bit
 //! compression): it is the correctness-first reference of the
 //! extension, benchmarked in `benches/` but not routed to the GPU
-//! kernel. DESIGN.md lists compressing it as future work.
+//! kernel. ARCHITECTURE.md, "Deviations from the paper" (item 4),
+//! lists compressing it as future work.
+//!
+//! Two counting paths share the structure.
+//! [`MultiwayBatmap::intersect_count`] is the paper-shaped dense sweep
+//! over every position, the GPU's data-independent loop.
+//! [`MultiwayBatmap::intersect_count_many`] is the CPU's batched path:
+//! it folds a shared base once into the sparse list of positions its
+//! intersection occupies and probes each candidate there only. The
+//! dense sweep is its test oracle.
 
 use crate::batmap::AsSlots;
 use crate::hash::Permutation;
@@ -307,12 +316,22 @@ impl MultiwayBatmap {
     /// [`crate::intersect::count_one_vs_many`] driver.
     ///
     /// The backend is dispatched **once for the whole batch**, and the
-    /// shared `base` operands are pre-folded into a per-position
-    /// profile (matched value + omitted-table mask), so each candidate
-    /// costs one pass over its own slots instead of re-sweeping every
-    /// base operand. This is the bulk primitive the levelwise miner's
-    /// Apriori counting uses: candidates generated by a prefix join
-    /// share their `k−1` leading items, which become `base`.
+    /// shared `base` operands are folded once into a **sparse profile**:
+    /// one entry `(table, value, omitted mask)` per position where every
+    /// base operand holds the same element, found by walking the
+    /// narrowest base operand's occupied slots and probing the others.
+    /// Entries whose table no candidate could make canonical are
+    /// dropped, which leaves at most two per element. Each candidate
+    /// then costs one slot probe per entry, O(|⋂ base|), instead of
+    /// the dense sweep's O((d+1)·r) positions. The
+    /// counts equal [`MultiwayBatmap::intersect_count`]'s exactly:
+    /// ranges are powers of two, so a permuted value `πₜ(x)` can only
+    /// sit at slot `πₜ(x) mod r` of any operand, and the sparse pass
+    /// visits precisely the positions the dense sweep can count.
+    ///
+    /// This is the bulk primitive the levelwise miner's Apriori
+    /// counting uses: candidates generated by a prefix join share their
+    /// `k−1` leading items, which become `base`.
     ///
     /// # Panics
     /// Panics if `base` is empty, if `base.len() + 1` exceeds `d`, or
@@ -368,67 +387,58 @@ impl MultiwayBatmap {
         params.kernel.dispatch(SweepMany { base, many, out });
     }
 
-    /// The batched sweep body: fold `base` once into a per-position
-    /// profile, then run one candidate pass per element of `many`.
+    /// The batched body: fold `base` once into a sparse profile of the
+    /// positions its intersection occupies, then probe each candidate
+    /// at those positions only.
     fn sweep_many<K: MatchKernel>(
         kernel: &K,
         base: &[&MultiwayBatmap],
         many: &[&MultiwayBatmap],
         out: &mut [u64],
     ) {
-        let params = &base[0].params;
-        let tables = params.tables();
-        let base_r = base.iter().map(|m| m.r).max().expect("non-empty base");
-        // Profile of the base intersection at every (table, folded
-        // position): the matched permuted value (EMPTY where the base
-        // operands disagree or are vacant) and the OR of their
-        // omitted-table bits. Folding is power-of-two masking, so a
-        // candidate with a larger range reads the profile through
-        // `p & (base_r - 1)` and sees exactly what a full sweep would.
-        let mut profile_val = vec![EMPTY; tables * base_r as usize];
-        let mut profile_mask = vec![0u32; tables * base_r as usize];
+        /// One position of the base intersection: table, permuted
+        /// value, and the OR of the base operands' omitted-table bits.
+        struct Live {
+            t: usize,
+            value: u64,
+            mask: u32,
+        }
+        let tables = base[0].params.tables();
+        // Every element of the base intersection is in the narrowest
+        // operand, so its occupied slots drive the fold; a value can
+        // only sit at slot `value mod r` of any other operand.
+        let driver = base.iter().min_by_key(|m| m.r).expect("non-empty base");
+        let mut live = Vec::new();
         for t in 0..tables {
-            for p in 0..base_r {
-                let v0 = base[0].values[base[0].slot(t, p)];
-                if v0 == EMPTY {
-                    continue;
-                }
-                if !base[1..]
-                    .iter()
-                    .all(|m| kernel.value_eq(m.values[m.slot(t, p)], v0))
+            let row = &driver.values[t * driver.r as usize..(t + 1) * driver.r as usize];
+            for &value in row {
+                if value == EMPTY
+                    || !base
+                        .iter()
+                        .all(|m| kernel.value_eq(m.values[m.slot(t, value)], value))
                 {
                     continue;
                 }
-                let idx = t * base_r as usize + p as usize;
-                profile_val[idx] = v0;
-                let mut mask = 0u32;
-                for m in base {
-                    mask |= 1 << m.omitted[m.slot(t, p)];
+                let mask = base
+                    .iter()
+                    .fold(0u32, |acc, m| acc | 1 << m.omitted[m.slot(t, value)]);
+                // Keep the position only if some candidate omitted
+                // table could make `t` canonical: at most two tables
+                // per element survive.
+                if (0..tables).any(|o| canonical(mask | 1 << o) == t) {
+                    live.push(Live { t, value, mask });
                 }
-                profile_mask[idx] = mask;
             }
         }
         for (cand, slot) in many.iter().zip(out.iter_mut()) {
-            let r_max = base_r.max(cand.r);
-            let mut count = 0u64;
-            for t in 0..tables {
-                for p in 0..r_max {
-                    let idx = t * base_r as usize + (p & (base_r - 1)) as usize;
-                    let v0 = profile_val[idx];
-                    if v0 == EMPTY {
-                        continue;
-                    }
-                    let cs = cand.slot(t, p);
-                    if !kernel.value_eq(cand.values[cs], v0) {
-                        continue;
-                    }
-                    let mask = profile_mask[idx] | (1 << cand.omitted[cs]);
-                    if (!mask).trailing_zeros() as usize == t {
-                        count += 1;
-                    }
-                }
-            }
-            *slot = count;
+            *slot = live
+                .iter()
+                .filter(|e| {
+                    let cs = cand.slot(e.t, e.value);
+                    kernel.value_eq(cand.values[cs], e.value)
+                        && canonical(e.mask | 1 << cand.omitted[cs]) == e.t
+                })
+                .count() as u64;
         }
     }
 
@@ -468,7 +478,8 @@ impl MultiwayBatmap {
     }
 
     /// Slot index of table `t`, folded position `p` (for `p` ranging
-    /// over the largest operand's positions).
+    /// over the largest operand's positions, or a permuted value of
+    /// table `t`, which can only sit at this slot).
     #[inline]
     fn slot(&self, t: usize, p: u64) -> usize {
         t * self.r as usize + (p & (self.r - 1)) as usize
@@ -479,6 +490,13 @@ impl MultiwayBatmap {
     pub fn storage_bytes(&self) -> usize {
         self.values.len() * 8 + self.omitted.len()
     }
+}
+
+/// The table that counts a common element whose operands omit the
+/// tables in `mask`: the smallest table none of them omits.
+#[inline]
+fn canonical(mask: u32) -> usize {
+    (!mask).trailing_zeros() as usize
 }
 
 /// The paper's second §V sketch: k-way intersection with ordinary

@@ -19,7 +19,8 @@ pub const TABLES: usize = 3;
 
 /// The 7-bit key reserved for the empty slot ⊥.
 ///
-/// Deviation from the paper (documented in DESIGN.md §2): the paper does
+/// Deviation from the paper (ARCHITECTURE.md, "Deviations from the
+/// paper", item 3): the paper does
 /// not say how ⊥ is encoded under 8-bit compression; we reserve the
 /// all-ones key and choose `s` so no live element can produce it.
 pub const NULL_KEY: u8 = 0x7F;

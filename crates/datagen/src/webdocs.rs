@@ -7,7 +7,8 @@
 //! up Apriori on small prefixes. We model (a) with a Zipf(α) rank
 //! distribution and (b) with Heaps'-law vocabulary growth
 //! (`V(N) ≈ K·N^β`), the standard generative model of text corpora.
-//! DESIGN.md §2 records the substitution.
+//! ARCHITECTURE.md, "Deviations from the paper" (item 2), records the
+//! substitution.
 
 use crate::zipf::Zipf;
 use fim::TransactionDb;

@@ -1,8 +1,9 @@
 //! # gpu-sim — an OpenCL-style GPU execution-model simulator
 //!
 //! The paper's experiments ran on a GeForce GTX 285 through PyOpenCL.
-//! This crate is the reproduction's substitute substrate (see DESIGN.md
-//! §2): it executes kernels written against an OpenCL-like model —
+//! This crate is the reproduction's substitute substrate (see
+//! ARCHITECTURE.md, "Deviations from the paper", item 1): it executes
+//! kernels written against an OpenCL-like model —
 //! work groups with local indices, shared memory, barriers — while
 //! accounting global-memory traffic under the half-warp coalescing rules
 //! of the NVIDIA best-practices guide the paper follows, and converts

@@ -16,11 +16,14 @@
 //!    consecutive.
 //! 3. **Support counting** is positional: each item's tidlist is built
 //!    once into a d-of-(d+1) [`MultiwayBatmap`] (lazily — only items
-//!    that actually appear in a candidate), and a candidate's support
-//!    is one k-way sweep. Candidates sharing a prefix are counted
-//!    through the batched [`MultiwayBatmap::intersect_count_many`]
-//!    driver, so the shared prefix is folded once per group instead of
-//!    once per candidate.
+//!    that actually appear in a candidate). Candidates sharing a
+//!    (k−1)-prefix are counted together through the batched
+//!    [`MultiwayBatmap::intersect_count_many`] driver: the prefix is
+//!    folded once per group into the sparse list of positions its
+//!    intersection occupies (one walk of its narrowest map, probing the
+//!    others), and each extension then costs one slot probe per listed
+//!    position — O(|prefix ∩|) per candidate, not a sweep of all
+//!    (d+1)·r positions.
 //! 4. **Parallelism**: prefix-groups are partitioned across workers
 //!    with the same longest-processing-time rule the tile executors
 //!    use ([`crate::executor::balanced_partition`]), honouring the
@@ -58,8 +61,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct LevelwiseConfig {
     /// Largest itemset size to mine (`d`); the multiway batmaps are
-    /// built with this `d`, so every level's count is one positional
-    /// sweep. Must be in `2..=15`.
+    /// built with this `d`, so every level up to it is counted
+    /// positionally. Must be in `2..=15`.
     pub depth: usize,
     /// Configuration of the level-2 pair stage; its `minsup`, `kernel`
     /// and `threads` govern the higher levels too.
@@ -101,12 +104,20 @@ pub struct LevelReport {
     pub candidates: usize,
     /// Candidates at or above `minsup`.
     pub frequent: usize,
-    /// Candidates counted by the batched positional sweep.
+    /// Candidates counted by the batched positional pass.
     pub batched: usize,
     /// Candidates counted by the exact tidlist-merge fallback (some
     /// item's multiway build failed).
     pub fallback: usize,
-    /// Wall seconds spent generating and counting this level.
+    /// Wall seconds of the Apriori join that generated the candidates.
+    pub join_s: f64,
+    /// Wall seconds building the multiway maps this level first needs
+    /// (plus, on the first level with candidates, the vertical view).
+    pub build_s: f64,
+    /// Wall seconds counting the candidates' supports.
+    pub count_s: f64,
+    /// Wall seconds of the whole level: join, build, count, and the
+    /// minsup filter; at least `join_s + build_s + count_s`.
     pub wall_s: f64,
 }
 
@@ -248,11 +259,12 @@ impl LevelwiseMiner {
             let mut level = LevelReport {
                 k,
                 candidates: candidates.len(),
+                join_s: sw.lap().as_secs_f64(),
                 ..Default::default()
             };
             if candidates.is_empty() {
                 current.clear();
-                level.wall_s = sw.lap().as_secs_f64();
+                level.wall_s = sw.total().as_secs_f64();
                 levels.push(level);
                 continue;
             }
@@ -300,6 +312,7 @@ impl LevelwiseMiner {
                     });
                 }
             }
+            level.build_s = sw.lap().as_secs_f64();
             let supports = count_level(
                 &candidates,
                 &maps,
@@ -307,6 +320,7 @@ impl LevelwiseMiner {
                 self.config.pair.options.threads,
                 &mut level,
             );
+            level.count_s = sw.lap().as_secs_f64();
             current = Vec::new();
             for (cand, support) in candidates.into_iter().zip(supports) {
                 if support >= minsup {
@@ -318,7 +332,7 @@ impl LevelwiseMiner {
                     });
                 }
             }
-            level.wall_s = sw.lap().as_secs_f64();
+            level.wall_s = sw.total().as_secs_f64();
             levels.push(level);
         }
         itemsets.sort_unstable_by(|a, b| (a.items.len(), &a.items).cmp(&(b.items.len(), &b.items)));
@@ -656,6 +670,30 @@ mod tests {
         );
         let fallbacks: usize = hybrid.levels.iter().map(|l| l.fallback).sum();
         assert!(fallbacks > 0, "their candidates take the exact merge");
+    }
+
+    #[test]
+    fn level_stage_times_fit_inside_the_level_wall() {
+        let d = db();
+        // Depth 5 at minsup 120 mines levels with and without
+        // candidates, so both report paths are covered.
+        let report = LevelwiseMiner::new(config(5, 120)).mine(&d);
+        assert!(report.levels.iter().any(|l| l.k > 2 && l.candidates > 0));
+        assert!(report.levels.iter().any(|l| l.candidates == 0));
+        for level in &report.levels {
+            let stages = [level.join_s, level.build_s, level.count_s];
+            assert!(
+                stages.iter().all(|&s| s >= 0.0),
+                "k={}: {stages:?}",
+                level.k
+            );
+            assert!(
+                stages.iter().sum::<f64>() <= level.wall_s,
+                "k={}: {stages:?} exceed wall {}",
+                level.k,
+                level.wall_s
+            );
+        }
     }
 
     #[test]

@@ -39,11 +39,19 @@ fn main() {
     });
     let report = miner.mine(&db);
 
-    println!("level  candidates  frequent  batched  fallback   wall_s");
+    println!("level  candidates  frequent  batched  fallback   join_s  build_s  count_s   wall_s");
     for level in &report.levels {
         println!(
-            "{:>5}  {:>10}  {:>8}  {:>7}  {:>8}  {:>7.4}",
-            level.k, level.candidates, level.frequent, level.batched, level.fallback, level.wall_s
+            "{:>5}  {:>10}  {:>8}  {:>7}  {:>8}  {:>7.4}  {:>7.4}  {:>7.4}  {:>7.4}",
+            level.k,
+            level.candidates,
+            level.frequent,
+            level.batched,
+            level.fallback,
+            level.join_s,
+            level.build_s,
+            level.count_s,
+            level.wall_s
         );
     }
     println!(

@@ -61,5 +61,5 @@ fn main() {
         (ba.width_bytes() + bb.width_bytes() + bc.width_bytes() + bd.width_bytes()) / 4,
     );
     println!("(the multiway structure is the uncompressed §V reference; compressing");
-    println!("it like §III-A is listed as future work in DESIGN.md)");
+    println!("it like §III-A is future work: ARCHITECTURE.md, \"Deviations from the paper\")");
 }
