@@ -1,12 +1,13 @@
 //! Batched one-vs-many intersection driver: batch-size sweep.
 //!
-//! Measures `batmap::intersect::count_one_vs_many_with` against the
+//! Measures `batmap::intersect::count_one_vs_many_into` against the
 //! naive per-pair loop it replaced, for growing candidate batches, per
-//! available backend. The batched driver dispatches the backend once
-//! per batch and sweeps equal-width candidates in register-blocked
-//! groups (each probe register load amortized across the block), so the
-//! gap over the per-pair loop should widen with the batch size — that
-//! trajectory is the point of this bench.
+//! available backend (pinned on the fixture's universe parameters). The
+//! batched driver dispatches the backend once per batch and sweeps
+//! equal-width candidates in register-blocked groups (each probe
+//! register load amortized across the block), so the gap over the
+//! per-pair loop should widen with the batch size — that trajectory is
+//! the point of this bench.
 
 use batmap::{available_backends, intersect, KernelBackend};
 use bench::one_vs_many_fixture;
@@ -26,12 +27,13 @@ fn bench_one_vs_many(c: &mut Criterion) {
         // exactly the batch-size trajectory this bench exists to show.
         g.throughput(Throughput::Bytes((2 * batch * probe.width_bytes()) as u64));
         for backend in available_backends() {
+            let (probe, many) = one_vs_many_fixture(batch, 0x1A7E, backend);
             g.bench_function(
                 BenchmarkId::new(format!("batched_{}", backend.name()), batch),
                 |bench| {
                     let mut out = vec![0u64; many.len()];
                     bench.iter(|| {
-                        intersect::count_one_vs_many_with(backend, &probe, &many, &mut out);
+                        intersect::count_one_vs_many_into(&probe, &many, &mut out);
                         black_box(out[0])
                     })
                 },

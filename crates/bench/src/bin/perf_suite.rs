@@ -20,7 +20,7 @@
 
 use batmap::{
     intersect, ArenaBuilder, AsSlots, Batmap, BatmapArena, BatmapParams, EngineOptions,
-    KernelBackend, Parallelism, ReprPolicy, SetRepr, SnapshotLoad, TuningProfile, ALL_BACKENDS,
+    KernelBackend, Parallelism, ReprPolicy, SetRepr, SnapshotLoad, ALL_BACKENDS,
 };
 use bench::report::{load_dir, regression_failures, DatasetParams, PerfReport};
 use datagen::uniform::{generate, UniformSpec};
@@ -1338,59 +1338,6 @@ fn snapshot_load_scenario(args: &Args) -> PerfReport {
     )
 }
 
-/// The software-prefetch scenario: the batched one-vs-many driver over
-/// a candidate block too large for cache, with the autotuned profile's
-/// prefetch distance against a prefetch-off profile. The gated arm is
-/// the default (prefetching) profile; the off arm is printed for the
-/// mechanism attribution, and both arms must count identically.
-fn intersect_prefetch_scenario(args: &Args) -> PerfReport {
-    const CANDIDATES: usize = 512;
-    let reps = if args.quick { 4 } else { 12 };
-    let (probe, many) = bench::one_vs_many_fixture(CANDIDATES, args.seed, args.options.kernel);
-    let backend = args.options.kernel;
-    let run = |profile: TuningProfile| -> (f64, Vec<u64>) {
-        let mut out = vec![0u64; many.len()];
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            intersect::count_one_vs_many_tuned(backend, &probe, &many, &mut out, profile);
-        }
-        (t0.elapsed().as_secs_f64(), out)
-    };
-    let tuned = TuningProfile::current();
-    let off = TuningProfile {
-        prefetch_dist: 0,
-        ..tuned
-    };
-    // Warm once so first-touch page faults land outside both arms.
-    let _ = run(off);
-    let (off_wall, off_counts) = run(off);
-    let (tuned_wall, tuned_counts) = run(tuned);
-    assert_eq!(
-        tuned_counts, off_counts,
-        "the prefetch distance must never change counts"
-    );
-    println!(
-        "intersect_prefetch: dist {} {tuned_wall:.4}s vs off {off_wall:.4}s ({:+.1}%)",
-        tuned.prefetch_dist,
-        (off_wall / tuned_wall - 1.0) * 100.0
-    );
-    PerfReport::new(
-        "intersect_prefetch",
-        args.options.kernel.resolve().name(),
-        "batched-1vN-prefetch",
-        1,
-        tuned_wall,
-        (CANDIDATES * reps) as u64,
-        DatasetParams {
-            n_items: CANDIDATES as u32,
-            total_items: bench::ONE_VS_MANY_SET,
-            density: 0.0,
-            seed: args.seed,
-            k: 0,
-        },
-    )
-}
-
 fn main() {
     let args = parse_args();
     let (mut reports, mut skipped) = intersect_scenarios(&args);
@@ -1407,7 +1354,6 @@ fn main() {
     reports.push(ingest_throughput_scenario(&args));
     reports.push(mine_windowed_scenario(&args));
     reports.push(snapshot_load_scenario(&args));
-    reports.push(intersect_prefetch_scenario(&args));
     let kernel_pinned = args.options.kernel != KernelBackend::Auto
         || KernelBackend::Auto.resolve() != KernelBackend::widest_available();
     if kernel_pinned {
@@ -1435,7 +1381,6 @@ fn main() {
             "serve_degraded",
             "ingest_throughput",
             "mine_windowed",
-            "intersect_prefetch",
         ] {
             skipped.push((scenario.to_string(), reason.clone()));
         }

@@ -1552,7 +1552,8 @@ mod tests {
         let (owned, arena) = build_arena(&p);
         let views = arena.views(0..arena.len());
         let probe = arena.get(3);
-        let counts = intersect::count_one_vs_many(&probe, &views);
+        let mut counts = vec![0u64; views.len()];
+        intersect::count_one_vs_many_into(&probe, &views, &mut counts);
         for (j, bm) in owned.iter().enumerate() {
             assert_eq!(counts[j], owned[3].intersect_count(bm));
         }

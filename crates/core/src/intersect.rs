@@ -14,48 +14,21 @@
 //! **once per intersection** (or once per batch) via
 //! [`KernelBackend::dispatch`] and then runs fully monomorphized bulk
 //! loops — no virtual call ever sits inside a per-word or per-chunk
-//! loop. The batched one-vs-many driver ([`count_one_vs_many_into`])
-//! additionally groups candidates of the probe's width into blocks so
-//! the SIMD backends keep each probe register load amortized across the
-//! block (see [`MatchKernel::count_equal_width_many`]); candidates of
-//! other widths fall back to the monomorphized pairwise path within the
-//! same dispatch.
+//! loop. The two one-vs-many drivers ([`count_one_vs_many_into`] over
+//! batmaps, [`count_mixed_one_vs_many_into`] over typed views) share one
+//! allocation-free row sweep. It queues candidates of the probe's width
+//! in a fixed stack block so the SIMD backends keep each probe register
+//! load amortized across the block (see
+//! [`MatchKernel::count_equal_width_many`]); candidates of other widths
+//! fall back to the monomorphized pairwise path within the same
+//! dispatch.
 
 use crate::arena::BatmapRef;
 use crate::batmap::AsSlots;
 use crate::kernel::{KernelBackend, KernelDispatch, MatchKernel};
 use crate::repr::{for_each_batmap_element, BitmapRef, SetView, TidlistRef};
-use crate::tuning::{TuningProfile, SWEEP_BLOCK_MAX};
-use crate::{slot, BatmapError, TABLES};
-
-/// Best-effort software prefetch of the cache line at `p` into L1.
-/// A pure scheduling hint: never faults (x86 `prefetcht0`, AArch64
-/// `prfm pldl1keep`), compiles to nothing on other architectures. The
-/// one-vs-many sweep issues these for candidates a few blocks ahead so
-/// their first lines are in flight while the kernel counts the current
-/// block — candidate rows are contiguous arena windows the hardware
-/// prefetcher only discovers *after* the first miss per candidate.
-#[inline(always)]
-fn prefetch_read(p: *const u8) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch instructions are hints and never fault, even on
-    // unmapped addresses.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(p.cast());
-    }
-    #[cfg(target_arch = "aarch64")]
-    // SAFETY: PRFM is a hint and never faults.
-    unsafe {
-        std::arch::asm!(
-            "prfm pldl1keep, [{0}]",
-            in(reg) p,
-            options(nostack, preserves_flags, readonly)
-        );
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    let _ = p;
-}
+use crate::{slot, BatmapError, ParamsHandle, TABLES};
+use std::sync::Arc;
 
 /// `|a ∩ b|` using the backend configured on `a`'s universe parameters,
 /// monomorphized through one dispatch. Generic over the storage of both
@@ -66,7 +39,7 @@ pub(crate) fn count<A: AsSlots + ?Sized, B: AsSlots + ?Sized>(a: &A, b: &B) -> u
     impl<A: AsSlots + ?Sized, B: AsSlots + ?Sized> KernelDispatch for Count<'_, A, B> {
         type Output = u64;
         fn run<K: MatchKernel>(self, kernel: K) -> u64 {
-            count_pair(&kernel, self.0, self.1)
+            count_pair(&kernel, self.0.slot_bytes(), self.1.slot_bytes())
         }
     }
     a.params().kernel_backend().dispatch(Count(a, b))
@@ -98,185 +71,157 @@ where
     A: AsSlots + ?Sized,
     B: AsSlots + ?Sized,
 {
-    count_pair(kernel, a, b)
+    count_pair(kernel, a.slot_bytes(), b.slot_bytes())
 }
 
 /// The width-ordering + equal/wrapped split shared by every pairwise
-/// path.
+/// path, over two slot arrays.
 #[inline]
-fn count_pair<K, A, B>(kernel: &K, a: &A, b: &B) -> u64
-where
-    K: MatchKernel + ?Sized,
-    A: AsSlots + ?Sized,
-    B: AsSlots + ?Sized,
-{
-    let (wa, wb) = (a.width_bytes(), b.width_bytes());
-    if wa == wb {
-        kernel.count_equal_width(a.slot_bytes(), b.slot_bytes())
-    } else if wa < wb {
-        kernel.count_wrapped(b.slot_bytes(), a.slot_bytes())
+fn count_pair<K: MatchKernel + ?Sized>(kernel: &K, a: &[u8], b: &[u8]) -> u64 {
+    if a.len() == b.len() {
+        kernel.count_equal_width(a, b)
+    } else if a.len() < b.len() {
+        kernel.count_wrapped(b, a)
     } else {
-        kernel.count_wrapped(a.slot_bytes(), b.slot_bytes())
+        kernel.count_wrapped(a, b)
     }
 }
 
-/// Count intersections of one batmap against many, through the batched
-/// driver: one backend dispatch for the whole batch, equal-width
-/// candidates swept in register-blocked groups. Used by the examples
-/// and figure binaries; the mining tile executors route their row loops
-/// through [`count_one_vs_many_into`] with arena-backed views.
-///
-/// # Panics
-/// Panics if any candidate comes from a different universe.
-pub fn count_one_vs_many<A: AsSlots, B: AsSlots>(one: &A, many: &[B]) -> Vec<u64> {
-    let mut out = vec![0u64; many.len()];
-    count_one_vs_many_into(one, many, &mut out);
-    out
+/// Candidates per batched kernel call in the one-vs-many sweep. The
+/// queued slot arrays and their output indices live in stack arrays of
+/// this length, so the row sweep never allocates.
+const BLOCK: usize = 8;
+
+/// A one-vs-many candidate as the block sweep sees it: its slot bytes
+/// when it is a batmap.
+trait RowOperand {
+    fn batmap_slots(&self) -> Option<&[u8]>;
 }
 
-/// [`count_one_vs_many`] writing into a caller-provided slice (the tile
-/// executors reuse their row buffers), with the backend taken from
-/// `one`'s universe parameters.
+impl<B: AsSlots> RowOperand for B {
+    fn batmap_slots(&self) -> Option<&[u8]> {
+        Some(self.slot_bytes())
+    }
+}
+
+impl RowOperand for SetView<'_> {
+    fn batmap_slots(&self) -> Option<&[u8]> {
+        match self {
+            SetView::Batmap(b) => Some(b.slot_bytes()),
+            _ => None,
+        }
+    }
+}
+
+/// Panics unless every universe in `others` is `probe`'s. A row's
+/// candidates borrow their corpus's parameter handle, so the hot path
+/// is one branch-free pass of address compares; any other handle takes
+/// the out-of-line `Arc::ptr_eq`-then-fingerprint check. Tidlist pairs
+/// cost only a few nanoseconds each, and a per-candidate branch on the
+/// dereferenced handle slowed those rows by 9-17%.
+fn assert_same_universe<'a>(
+    probe: &ParamsHandle,
+    others: impl Iterator<Item = &'a ParamsHandle> + Clone,
+) {
+    if !others
+        .clone()
+        .fold(true, |same, other| same & std::ptr::eq(probe, other))
+    {
+        assert_same_fingerprints(probe, others);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn assert_same_fingerprints<'a>(
+    probe: &ParamsHandle,
+    others: impl Iterator<Item = &'a ParamsHandle>,
+) {
+    for other in others {
+        assert!(
+            Arc::ptr_eq(probe, other) || probe.fingerprint() == other.fingerprint(),
+            "sets from different universes"
+        );
+    }
+}
+
+/// Count intersections of one batmap against many: `out[i] = |one ∩
+/// many[i]|`. The backend configured on `one`'s universe parameters is
+/// dispatched once for the whole row, and candidates of `one`'s width
+/// are swept in register-blocked groups of eight.
 ///
 /// # Panics
 /// Panics if `out.len() != many.len()` or any candidate comes from a
 /// different universe.
 pub fn count_one_vs_many_into<A: AsSlots, B: AsSlots>(one: &A, many: &[B], out: &mut [u64]) {
-    count_one_vs_many_with(one.params().kernel_backend(), one, many, out);
-}
-
-/// [`count_one_vs_many_into`] with an explicit backend (the bench
-/// batch-size sweep drives each backend directly).
-///
-/// # Panics
-/// Panics if `out.len() != many.len()` or any candidate comes from a
-/// different universe.
-pub fn count_one_vs_many_with<A: AsSlots, B: AsSlots>(
-    backend: KernelBackend,
-    one: &A,
-    many: &[B],
-    out: &mut [u64],
-) {
-    count_one_vs_many_tuned(backend, one, many, out, TuningProfile::current());
-}
-
-/// [`count_one_vs_many_with`] with an explicit [`TuningProfile`]
-/// instead of the process-wide [`TuningProfile::current`]. This is the
-/// `batmap-tune` measurement hook and the `intersect_prefetch` perf
-/// scenario's lever: pin `prefetch_dist: 0` to measure the sweep
-/// without software prefetching, or sweep `sweep_block` without
-/// touching the environment. Tuning never changes counts.
-///
-/// # Panics
-/// Panics if `out.len() != many.len()` or any candidate comes from a
-/// different universe.
-pub fn count_one_vs_many_tuned<A: AsSlots, B: AsSlots>(
-    backend: KernelBackend,
-    one: &A,
-    many: &[B],
-    out: &mut [u64],
-    profile: TuningProfile,
-) {
     assert_eq!(out.len(), many.len(), "one output slot per candidate");
-    struct Batch<'a, A, B> {
+    assert_same_universe(one.params(), many.iter().map(AsSlots::params));
+    struct Row<'a, A, B> {
         one: &'a A,
         many: &'a [B],
         out: &'a mut [u64],
-        profile: TuningProfile,
     }
-    impl<A: AsSlots, B: AsSlots> KernelDispatch for Batch<'_, A, B> {
+    impl<A: AsSlots, B: AsSlots> KernelDispatch for Row<'_, A, B> {
         type Output = ();
         fn run<K: MatchKernel>(self, kernel: K) {
-            one_vs_many_sweep(&kernel, self.one, self.many, self.out, self.profile);
+            block_sweep(&kernel, self.one.slot_bytes(), self.many, self.out, |_| {
+                unreachable!("every candidate is a batmap")
+            });
         }
     }
-    backend.dispatch(Batch {
-        one,
-        many,
-        out,
-        profile,
-    });
+    one.params()
+        .kernel_backend()
+        .dispatch(Row { one, many, out });
 }
 
-/// The monomorphized one-vs-many sweep: candidates that share the
-/// probe's width go through the kernel's blocked
-/// [`MatchKernel::count_equal_width_many`] (probe words stay hot in
-/// registers/L1 across the block); the rest take the pairwise
-/// equal/wrapped path — still inside this single dispatch.
-fn one_vs_many_sweep<K: MatchKernel, A: AsSlots, B: AsSlots>(
+/// The one row sweep behind both one-vs-many drivers, monomorphized for
+/// one kernel and allocation-free. Batmap candidates of the probe's
+/// width queue in a stack block of [`BLOCK`] and are flushed through
+/// [`MatchKernel::count_equal_width_many`], which keeps the probe words
+/// hot in registers/L1 across the block. Batmaps of another width take
+/// the pairwise wrapped path, and every other candidate is counted by
+/// `sparse`. Callers have checked the candidates' universes.
+fn block_sweep<'c, K: MatchKernel, C: RowOperand>(
     kernel: &K,
-    one: &A,
-    many: &[B],
+    probe: &[u8],
+    many: &'c [C],
     out: &mut [u64],
-    profile: TuningProfile,
+    mut sparse: impl FnMut(&'c C) -> u64,
 ) {
-    let fp = one.params().fingerprint();
-    for b in many {
-        assert_eq!(
-            b.params().fingerprint(),
-            fp,
-            "batmaps from different universes"
-        );
+    fn flush<K: MatchKernel>(
+        kernel: &K,
+        probe: &[u8],
+        block: &[&[u8]],
+        at: &[usize],
+        out: &mut [u64],
+    ) {
+        let mut counts = [0u64; BLOCK];
+        let counts = &mut counts[..block.len()];
+        kernel.count_equal_width_many(probe, block, counts);
+        for (&i, &c) in at.iter().zip(counts.iter()) {
+            out[i] = c;
+        }
     }
-    let width = one.width_bytes();
-    // Common case (the tile executors' row loop: preprocessing sorts
-    // batmaps by width, so whole rows usually share one width): every
-    // candidate matches the probe — sweep straight into `out` in
-    // stack-buffered blocks, no heap allocation per row. Block size and
-    // prefetch lookahead come from the tuning profile; the stack buffer
-    // is sized for the compile-time maximum.
-    if many.iter().all(|b| b.width_bytes() == width) {
-        let profile = profile.sanitized();
-        let block = profile.sweep_block;
-        let n_blocks = many.len().div_ceil(block.max(1));
-        for bi in 0..n_blocks {
-            let start = bi * block;
-            let chunk = &many[start..(start + block).min(many.len())];
-            if profile.prefetch_dist > 0 {
-                // Warm the first line of each candidate a fixed number
-                // of blocks ahead; the hardware prefetcher streams the
-                // rest of each window once the kernel starts on it.
-                let ahead = start + profile.prefetch_dist * block;
-                if ahead < many.len() {
-                    for b in &many[ahead..(ahead + block).min(many.len())] {
-                        prefetch_read(b.slot_bytes().as_ptr());
-                    }
+    let mut block: [&[u8]; BLOCK] = [&[]; BLOCK];
+    let mut at = [0usize; BLOCK];
+    let mut queued = 0;
+    for (i, c) in many.iter().enumerate() {
+        match c.batmap_slots() {
+            Some(bytes) if bytes.len() == probe.len() => {
+                block[queued] = bytes;
+                at[queued] = i;
+                queued += 1;
+                if queued == BLOCK {
+                    flush(kernel, probe, &block, &at, out);
+                    queued = 0;
                 }
             }
-            let mut bytes: [&[u8]; SWEEP_BLOCK_MAX] = [&[]; SWEEP_BLOCK_MAX];
-            for (slot, b) in bytes.iter_mut().zip(chunk) {
-                *slot = b.slot_bytes();
-            }
-            kernel.count_equal_width_many(
-                one.slot_bytes(),
-                &bytes[..chunk.len()],
-                &mut out[start..start + chunk.len()],
-            );
-        }
-        return;
-    }
-    // Mixed widths: blocked sweep for the probe-width candidates,
-    // monomorphized pairwise path for the rest, scattered back by
-    // index (ordering does not matter for correctness). `Vec::new`
-    // defers allocation to the first width match, so a row whose width
-    // matches no column stays allocation-free like the fast path.
-    let mut eq_idx: Vec<usize> = Vec::new();
-    let mut eq_bytes: Vec<&[u8]> = Vec::new();
-    for (i, b) in many.iter().enumerate() {
-        if b.width_bytes() == width {
-            eq_idx.push(i);
-            eq_bytes.push(b.slot_bytes());
-        } else {
-            out[i] = count_pair(kernel, one, b);
+            Some(bytes) => out[i] = count_pair(kernel, probe, bytes),
+            None => out[i] = sparse(c),
         }
     }
-    if eq_idx.is_empty() {
-        return;
-    }
-    let mut counts = vec![0u64; eq_bytes.len()];
-    kernel.count_equal_width_many(one.slot_bytes(), &eq_bytes, &mut counts);
-    for (&i, c) in eq_idx.iter().zip(counts) {
-        out[i] = c;
+    if queued > 0 {
+        flush(kernel, probe, &block[..queued], &at[..queued], out);
     }
 }
 
@@ -318,7 +263,7 @@ pub fn count_mixed_with(backend: KernelBackend, a: &SetView<'_>, b: &SetView<'_>
 }
 
 /// The pairing matrix itself, with the universe check hoisted out — the
-/// row driver below validates once per row, not once per pair.
+/// row driver below validates each candidate by pointer first.
 fn count_mixed_pair(backend: KernelBackend, a: &SetView<'_>, b: &SetView<'_>) -> u64 {
     match (a, b) {
         (SetView::Batmap(x), SetView::Batmap(y)) => {
@@ -326,7 +271,7 @@ fn count_mixed_pair(backend: KernelBackend, a: &SetView<'_>, b: &SetView<'_>) ->
             impl KernelDispatch for Pair<'_> {
                 type Output = u64;
                 fn run<K: MatchKernel>(self, kernel: K) -> u64 {
-                    count_pair(&kernel, &self.0, &self.1)
+                    count_pair(&kernel, self.0.slot_bytes(), self.1.slot_bytes())
                 }
             }
             backend.dispatch(Pair(*x, *y))
@@ -365,70 +310,58 @@ fn count_mixed_pair(backend: KernelBackend, a: &SetView<'_>, b: &SetView<'_>) ->
     }
 }
 
-/// Count intersections of one typed view against many, the hybrid tile
-/// executors' row primitive. The backend is resolved once per row;
-/// batmap candidates of a batmap probe are batched through the
-/// register-blocked [`count_one_vs_many_with`] sweep, everything else
-/// takes the per-pair mixed kernels.
+/// Count intersections of one typed view against many: the row
+/// primitive of every tile executor. The backend is resolved once per
+/// row. A batmap probe runs the same row sweep as
+/// [`count_one_vs_many_into`]: batmap candidates are batched through
+/// the register-blocked kernel, and bitmap/tidlist candidates merge
+/// against the probe's elements, decoded once per row on first need.
+/// Sparse probes take the per-pair mixed kernels.
 ///
 /// # Panics
 /// Panics if `out.len() != many.len()` or any candidate comes from a
 /// different universe.
 pub fn count_mixed_one_vs_many_into(one: &SetView<'_>, many: &[SetView<'_>], out: &mut [u64]) {
     assert_eq!(out.len(), many.len(), "one output slot per candidate");
-    if let Some(first) = many.first() {
-        // One universe check per row; candidates of a row all come from
-        // the same arena, so per-pair re-validation (a fingerprint hash
-        // on both sides, ~88M times for a 13k-item corpus) would be
-        // pure overhead on the hot path.
-        assert_eq!(
-            one.params().fingerprint(),
-            first.params().fingerprint(),
-            "sets from different universes"
-        );
-    }
-    let backend = one.params().kernel_backend();
+    let universe = one.params();
+    assert_same_universe(universe, many.iter().map(SetView::params));
     match one {
         SetView::Batmap(probe) => {
-            // Recover the batched equal-width sweep for the batmap
-            // portion of the row (preprocessing sorts by width, so
-            // batmap columns cluster); the `Vec`s defer allocation
-            // until the first batmap candidate. Against sparse
-            // candidates the probe's elements are decoded once per row
-            // (`elements()` pays one Feistel inversion per element —
-            // far too much to redo per pair) and merged directly.
-            let mut bm_idx: Vec<usize> = Vec::new();
-            let mut bm_views: Vec<BatmapRef<'_>> = Vec::new();
-            let mut elems: Option<Vec<u32>> = None;
-            for (i, c) in many.iter().enumerate() {
-                match c {
-                    SetView::Batmap(b) => {
-                        bm_idx.push(i);
-                        bm_views.push(*b);
-                    }
-                    _ => {
+            struct Row<'a, 'v> {
+                probe: BatmapRef<'a>,
+                many: &'a [SetView<'v>],
+                out: &'a mut [u64],
+            }
+            impl KernelDispatch for Row<'_, '_> {
+                type Output = ();
+                fn run<K: MatchKernel>(self, kernel: K) {
+                    // Against sparse candidates the probe's elements are
+                    // decoded once per row (`elements()` pays one Feistel
+                    // inversion per element — far too much to redo per
+                    // pair) and merged directly.
+                    let probe = self.probe;
+                    let mut elems: Option<Vec<u32>> = None;
+                    block_sweep(&kernel, probe.slot_bytes(), self.many, self.out, |c| {
                         let elems = elems.get_or_insert_with(|| {
                             let mut e = probe.elements();
                             e.sort_unstable();
                             e
                         });
-                        out[i] = match c {
+                        match c {
                             SetView::Tidlist(t) => count_sorted_vs_tidlist(elems, t),
                             SetView::Bitmap(b) => {
                                 elems.iter().filter(|&&x| b.contains(x)).count() as u64
                             }
-                            SetView::Batmap(_) => unreachable!("handled above"),
-                        };
-                    }
+                            SetView::Batmap(_) => unreachable!("batmaps are block-swept"),
+                        }
+                    });
                 }
             }
-            if !bm_idx.is_empty() {
-                let mut counts = vec![0u64; bm_views.len()];
-                count_one_vs_many_with(backend, probe, &bm_views, &mut counts);
-                for (&i, c) in bm_idx.iter().zip(counts) {
-                    out[i] = c;
-                }
-            }
+            universe.kernel_backend().dispatch(Row {
+                probe: *probe,
+                many,
+                out,
+            });
         }
         SetView::Tidlist(probe) => {
             // Decode the probe's elements once for the whole row — on a
@@ -448,13 +381,12 @@ pub fn count_mixed_one_vs_many_into(one: &SetView<'_>, many: &[SetView<'_>], out
                     SetView::Bitmap(b) => elems.iter().filter(|&&x| b.contains(x)).count() as u64,
                     SetView::Batmap(bm) => {
                         let probes = probes.get_or_insert_with(|| {
-                            let params = probe.params();
                             elems
                                 .iter()
                                 .map(|&x| {
                                     std::array::from_fn(|t| {
-                                        let pi = params.perms().apply(t, x as u64);
-                                        (pi, params.key_of(pi))
+                                        let pi = universe.perms().apply(t, x as u64);
+                                        (pi, universe.key_of(pi))
                                     })
                                 })
                                 .collect()
@@ -465,6 +397,7 @@ pub fn count_mixed_one_vs_many_into(one: &SetView<'_>, many: &[SetView<'_>], out
             }
         }
         SetView::Bitmap(_) => {
+            let backend = universe.kernel_backend();
             for (o, c) in out.iter_mut().zip(many) {
                 *o = count_mixed_pair(backend, one, c);
             }
@@ -676,7 +609,8 @@ mod tests {
                 .batmap
             })
             .collect();
-        let counts = super::count_one_vs_many(&probe, &many);
+        let mut counts = vec![0u64; many.len()];
+        super::count_one_vs_many_into(&probe, &many, &mut counts);
         for (i, b) in many.iter().enumerate() {
             assert_eq!(counts[i], probe.intersect_count(b));
         }
@@ -686,58 +620,31 @@ mod tests {
     fn one_vs_many_batches_per_backend() {
         // Mixed widths: some candidates share the probe's width (the
         // blocked path), some are smaller/larger (the pairwise path).
-        let p = Arc::new(BatmapParams::new(50_000, 21));
-        let probe = Batmap::build(p.clone(), &(0..1000).collect::<Vec<_>>()).batmap;
+        // The backend is pinned on the universe parameters.
         let sizes = [50usize, 1000, 900, 4000, 1000, 1000, 30, 1100, 1000];
-        let many: Vec<Batmap> = sizes
-            .iter()
-            .map(|&n| {
-                Batmap::build(p.clone(), &(0..n as u32).map(|i| i * 3).collect::<Vec<_>>()).batmap
-            })
-            .collect();
-        assert!(
-            many.iter().any(|b| b.width_bytes() == probe.width_bytes()),
-            "fixture must exercise the blocked path"
-        );
-        let expect: Vec<u64> = many.iter().map(|b| probe.intersect_count(b)).collect();
+        let build = |p: &Arc<BatmapParams>, n: u32| {
+            Batmap::build(p.clone(), &(0..n).map(|i| i * 3).collect::<Vec<_>>()).batmap
+        };
+        let mut expect = None;
         for backend in crate::kernel::available_backends() {
+            let p = Arc::new(
+                BatmapParams::new(50_000, 21)
+                    .with_engine_options(crate::options::EngineOptions::auto().kernel(backend)),
+            );
+            let probe = build(&p, 1000);
+            let many: Vec<Batmap> = sizes.iter().map(|&n| build(&p, n as u32)).collect();
+            assert!(
+                many.iter().any(|b| b.width_bytes() == probe.width_bytes()),
+                "fixture must exercise the blocked path"
+            );
+            let expect = expect.get_or_insert_with(|| {
+                many.iter()
+                    .map(|b| super::count_by_decoding(&probe, b))
+                    .collect::<Vec<u64>>()
+            });
             let mut out = vec![0u64; many.len()];
-            super::count_one_vs_many_with(backend, &probe, &many, &mut out);
-            assert_eq!(out, expect, "backend {backend}");
-        }
-    }
-
-    #[test]
-    fn tuned_sweeps_count_identically_for_every_profile() {
-        use crate::tuning::{TuningProfile, SWEEP_BLOCK_MAX};
-        let p = Arc::new(BatmapParams::new(20_000, 0x7E57));
-        let probe = Batmap::build(p.clone(), &(0..900).collect::<Vec<_>>()).batmap;
-        let many: Vec<Batmap> = (0..23)
-            .map(|k| {
-                Batmap::build(
-                    p.clone(),
-                    &(0..800).map(|i| i * (k + 2)).collect::<Vec<_>>(),
-                )
-                .batmap
-            })
-            .collect();
-        let expect: Vec<u64> = many.iter().map(|b| probe.intersect_count(b)).collect();
-        for backend in crate::kernel::available_backends() {
-            for sweep_block in [1, 2, 3, SWEEP_BLOCK_MAX, SWEEP_BLOCK_MAX + 100] {
-                for prefetch_dist in [0, 1, 4, 64] {
-                    let profile = TuningProfile {
-                        tile_side: 64,
-                        sweep_block,
-                        prefetch_dist,
-                    };
-                    let mut out = vec![0u64; many.len()];
-                    super::count_one_vs_many_tuned(backend, &probe, &many, &mut out, profile);
-                    assert_eq!(
-                        out, expect,
-                        "backend {backend} block {sweep_block} prefetch {prefetch_dist}"
-                    );
-                }
-            }
+            super::count_one_vs_many_into(&probe, &many, &mut out);
+            assert_eq!(&out, expect, "backend {backend}");
         }
     }
 
@@ -748,7 +655,8 @@ mod tests {
         let q = Arc::new(BatmapParams::new(1_000, 2));
         let probe = Batmap::build(p, &[1, 2, 3]).batmap;
         let alien = Batmap::build(q, &[1, 2, 3]).batmap;
-        let _ = super::count_one_vs_many(&probe, &[alien]);
+        let mut out = [0u64; 1];
+        super::count_one_vs_many_into(&probe, &[alien], &mut out);
     }
 
     use crate::arena::ArenaBuilder;
@@ -826,6 +734,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "sets from different universes")]
+    fn mixed_one_vs_many_rejects_foreign_universe_past_the_first_candidate() {
+        let arena_in = |seed| {
+            let mut builder = ArenaBuilder::new(Arc::new(BatmapParams::new(1_000, seed)));
+            builder.push_elements(&[1, 2, 3], SetRepr::Batmap);
+            builder.push_elements(&[2, 3, 4], SetRepr::Tidlist);
+            builder.finish()
+        };
+        let (home, foreign) = (arena_in(1), arena_in(2));
+        let probe = home.payload(0);
+        let many = [home.payload(1), foreign.payload(1)];
+        let mut out = [0u64; 2];
+        super::count_mixed_one_vs_many_into(&probe, &many, &mut out);
     }
 
     #[test]

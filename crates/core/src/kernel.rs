@@ -36,7 +36,7 @@
 //! this CPU* (AVX-512 where detected, else AVX2, else SSE2 on any
 //! `x86_64`; NEON on `aarch64`; SWAR-u64 elsewhere), honouring a
 //! `BATMAP_KERNEL` environment override, and
-//! can be pinned per universe via [`crate::BatmapParams::with_kernel`]
+//! can be pinned per universe via [`crate::BatmapParams::with_engine_options`]
 //! or per mining run via the miner configuration. Requesting a backend
 //! the CPU lacks downgrades (with a one-time warning) to the widest
 //! available one — counts are backend-independent, so a downgrade never

@@ -56,9 +56,6 @@
 //!   runtime-selectable with CPU-feature detection).
 //! * `simd` — the true-SIMD SSE2/AVX2/AVX-512 kernels (`x86_64` only).
 //! * `neon` — the NEON kernel (`aarch64` only, baseline SIMD there).
-//! * [`tuning`] — the persisted [`tuning::TuningProfile`] (tile side,
-//!   sweep block, prefetch distance) measured by `batmap-tune` and
-//!   loaded through `BATMAP_TUNING`.
 //! * [`parallel`] — the [`Parallelism`] knob host-parallel phases share
 //!   (`BATMAP_THREADS` override, same plumbing style as the kernels).
 //! * [`swar`] — the paper's raw branch-free formulations (backend
@@ -88,7 +85,7 @@
 //! what [`KernelBackend::Auto`] resolves to. Resolution rules
 //! ([`KernelBackend::resolve_override`] is the pure form):
 //!
-//! 1. An explicit backend ([`params::BatmapParams::with_kernel`],
+//! 1. An explicit backend ([`EngineOptions::kernel`](EngineOptions#structfield.kernel),
 //!    `MinerConfig::kernel`, `--kernel NAME`) wins; `Auto` consults the
 //!    environment.
 //! 2. `Auto` with no (valid) override resolves to the **widest backend
@@ -124,18 +121,6 @@
 //!
 //! The variable is read once per process and cached.
 //!
-//! ### `BATMAP_TUNING` — autotuned kernel/tile profile
-//!
-//! `BATMAP_TUNING=<path.json>` points at a [`tuning::TuningProfile`]
-//! written by the `batmap-tune` binary (tile side, one-vs-many sweep
-//! block, software-prefetch distance). When set, the profile steers
-//! the miner's default tile size and the batched one-vs-many driver;
-//! when unset, or when the file is missing/unparseable (one-time
-//! warning), the built-in defaults apply. Values are clamped to safe
-//! ranges on load, and none of them affects counts — like every other
-//! knob here it is a pure speed choice. The variable is read once per
-//! process and cached.
-//!
 //! ### `BATMAP_THREADS` — host parallelism
 //!
 //! `BATMAP_THREADS=serial|<count>` steers what [`Parallelism::Auto`]
@@ -161,7 +146,7 @@
 //! preprocessed corpus is stored in (see [`repr`] for the selection
 //! thresholds):
 //!
-//! 1. An explicit policy ([`params::BatmapParams::with_repr`],
+//! 1. An explicit policy ([`EngineOptions::repr`](EngineOptions#structfield.repr),
 //!    `MinerConfig::repr`, `--repr NAME`) wins; `Auto` consults the
 //!    environment.
 //! 2. `Auto` with no (valid) override resolves to **`batmap`** — the
@@ -208,7 +193,6 @@ pub mod simd;
 pub mod slot;
 pub mod space;
 pub mod swar;
-pub mod tuning;
 pub mod uncompressed;
 pub mod update;
 
@@ -229,6 +213,5 @@ pub use options::EngineOptions;
 pub use parallel::Parallelism;
 pub use params::{BatmapParams, ParamsHandle, TABLES};
 pub use repr::{BitmapRef, ReprPolicy, SetRepr, SetView, TidlistRef, ALL_REPR_POLICIES};
-pub use tuning::TuningProfile;
 pub use uncompressed::UncompressedBatmap;
 pub use update::UpdateOutcome;

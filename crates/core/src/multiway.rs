@@ -313,7 +313,7 @@ impl MultiwayBatmap {
 
     /// Batched one-vs-many `d`-way counting:
     /// `out[i] = |⋂ base ∪ {many[i]}|`, mirroring the pairwise
-    /// [`crate::intersect::count_one_vs_many`] driver.
+    /// [`crate::intersect::count_one_vs_many_into`] driver.
     ///
     /// The backend is dispatched **once for the whole batch**, and the
     /// shared `base` operands are folded once into a **sparse profile**:

@@ -19,8 +19,7 @@
 //!
 //! Everything configurable — `MinerConfig`, `LevelwiseConfig`, the
 //! bench `HarnessConfig`, the figure binaries, and the snapshot server —
-//! consumes an `EngineOptions`; the old per-field setters survive only
-//! as `#[deprecated]` shims.
+//! consumes an `EngineOptions`.
 
 use crate::arena::SnapshotLoad;
 use crate::kernel::KernelBackend;
@@ -190,16 +189,6 @@ pub fn repr_env() -> Option<&'static str> {
 pub fn load_env() -> Option<&'static str> {
     static VAR: OnceLock<Option<String>> = OnceLock::new();
     VAR.get_or_init(|| std::env::var("BATMAP_LOAD").ok())
-        .as_deref()
-}
-
-/// The cached raw `BATMAP_TUNING` value, if the variable is set: a
-/// path to a [`crate::tuning::TuningProfile`] JSON file written by
-/// `batmap-tune`, loaded once per process by
-/// [`crate::tuning::TuningProfile::current`].
-pub fn tuning_env() -> Option<&'static str> {
-    static VAR: OnceLock<Option<String>> = OnceLock::new();
-    VAR.get_or_init(|| std::env::var("BATMAP_TUNING").ok())
         .as_deref()
 }
 

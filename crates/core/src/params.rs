@@ -149,61 +149,16 @@ impl BatmapParams {
         }
     }
 
-    /// Pin the match-count backend for every intersection over this
-    /// universe. The default, [`KernelBackend::Auto`], picks the widest
-    /// kernel *available on this CPU* at first use (AVX2 where
-    /// detected, SSE2 on any `x86_64`, SWAR-u64 elsewhere), honouring a
-    /// `BATMAP_KERNEL=scalar|swar32|swar64|sse2|avx2` environment
-    /// override; pinning an unavailable backend downgrades to the
-    /// widest available one rather than failing.
-    #[deprecated(
-        since = "0.7.0",
-        note = "configure through `EngineOptions`: \
-                `params.with_engine_options(EngineOptions::auto().kernel(..))`"
-    )]
-    pub fn with_kernel(mut self, kernel: KernelBackend) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// The configured match-count backend identifier.
     #[inline]
     pub fn kernel_backend(&self) -> KernelBackend {
         self.kernel
     }
 
-    /// Pin the host-parallelism knob for every parallel phase over this
-    /// universe (the default, [`Parallelism::Auto`], honours the
-    /// `BATMAP_THREADS` override and otherwise follows the ambient
-    /// rayon pool).
-    #[deprecated(
-        since = "0.7.0",
-        note = "configure through `EngineOptions`: \
-                `params.with_engine_options(EngineOptions::auto().threads(..))`"
-    )]
-    pub fn with_threads(mut self, threads: Parallelism) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// The configured host-parallelism knob.
     #[inline]
     pub fn parallelism(&self) -> Parallelism {
         self.threads
-    }
-
-    /// Pin the storage-representation policy for corpora built over
-    /// this universe (the default, [`ReprPolicy::Auto`], honours the
-    /// `BATMAP_REPR` override and otherwise keeps the legacy
-    /// pure-batmap layout).
-    #[deprecated(
-        since = "0.7.0",
-        note = "configure through `EngineOptions`: \
-                `params.with_engine_options(EngineOptions::auto().repr(..))`"
-    )]
-    pub fn with_repr(mut self, repr: ReprPolicy) -> Self {
-        self.repr = repr;
-        self
     }
 
     /// The configured storage-representation policy.
@@ -496,20 +451,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_options_roundtrip_and_deprecated_shims_agree() {
+    fn engine_options_roundtrip() {
         let opts = EngineOptions::auto()
             .kernel(crate::kernel::KernelBackend::SwarU32)
             .threads(Parallelism::Threads(3))
             .repr(ReprPolicy::Tidlist);
         let via_options = BatmapParams::new(1000, 1).with_engine_options(opts);
         assert_eq!(via_options.engine_options(), opts);
-        // The deprecated per-field setters remain thin shims over the
-        // same fields, so migrating code changes nothing observable.
-        #[allow(deprecated)]
-        let via_shims = BatmapParams::new(1000, 1)
-            .with_kernel(crate::kernel::KernelBackend::SwarU32)
-            .with_threads(Parallelism::Threads(3))
-            .with_repr(ReprPolicy::Tidlist);
-        assert_eq!(via_shims.engine_options(), opts);
     }
 }

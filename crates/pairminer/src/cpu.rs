@@ -4,11 +4,16 @@
 //! cores with rayon — this is the "running the algorithm on the 8 CPU
 //! cores on our system" comparison (§IV-A finds the GPU ~5× faster) and
 //! the measurement engine behind Fig. 11.
+//!
+//! Every tile runner sweeps its rows through one primitive,
+//! [`intersect::count_mixed_one_vs_many_into`], over typed arena views:
+//! a pure-batmap corpus and a hybrid one take the same code path, and
+//! the driver itself batches equal-width batmap candidates.
 
 use crate::preprocess::Preprocessed;
 use crate::schedule::Tile;
 use batmap::intersect;
-use batmap::{BatmapRef, KernelBackend, SetView};
+use batmap::{KernelBackend, SetView};
 use rayon::prelude::*;
 
 /// Counts for one tile computed on the CPU: row-major `rows × cols`,
@@ -17,34 +22,24 @@ use rayon::prelude::*;
 /// GPU-parity reference; the mining executors use the triangular
 /// variants below).
 ///
-/// All row/column operands are zero-copy views into the preprocessed
-/// arena — the column block is materialized once per tile (a `Vec` of
-/// few-word views), never the payload bytes themselves. An all-batmap
-/// corpus takes the legacy register-blocked sweep; a hybrid corpus
-/// routes every row through the mixed-representation kernels.
+/// All row/column operands are zero-copy typed views into the
+/// preprocessed arena — the column block is materialized once per tile
+/// (a `Vec` of few-word views), never the payload bytes themselves —
+/// and every row runs through the one row driver,
+/// [`intersect::count_mixed_one_vs_many_into`], whatever mix of
+/// representations the corpus holds.
 pub fn run_tile_cpu(pre: &Preprocessed, tile: &Tile) -> Vec<u64> {
     let mut counts = vec![0u64; tile.rows * tile.cols];
-    if pre.arena.is_all_batmap() {
-        let cols = pre.arena.views(tile.col_base..tile.col_base + tile.cols);
-        counts
-            .par_chunks_mut(tile.cols)
-            .enumerate()
-            .for_each(|(r, row_out)| {
-                let a = pre.batmap(tile.row_base + r);
-                intersect::count_one_vs_many_into(&a, &cols, row_out);
-            });
-    } else {
-        let cols = pre
-            .arena
-            .payload_views(tile.col_base..tile.col_base + tile.cols);
-        counts
-            .par_chunks_mut(tile.cols)
-            .enumerate()
-            .for_each(|(r, row_out)| {
-                let a = pre.payload(tile.row_base + r);
-                intersect::count_mixed_one_vs_many_into(&a, &cols, row_out);
-            });
-    }
+    let cols = pre
+        .arena
+        .payload_views(tile.col_base..tile.col_base + tile.cols);
+    counts
+        .par_chunks_mut(tile.cols)
+        .enumerate()
+        .for_each(|(r, row_out)| {
+            let a = pre.payload(tile.row_base + r);
+            intersect::count_mixed_one_vs_many_into(&a, &cols, row_out);
+        });
     counts
 }
 
@@ -61,39 +56,17 @@ fn first_useful_col(tile: &Tile, r: usize) -> usize {
     }
 }
 
-/// One row of tile counts, written into `row_out` (length `tile.cols`).
+/// One row of tile counts, written into `row_out` (length `tile.cols`),
+/// skipping the at-or-below-diagonal cells.
 ///
-/// Routes through the batched one-vs-many driver
-/// ([`intersect::count_one_vs_many_into`]): the backend is dispatched
-/// once for the whole row and the row batmap's words stay hot in
-/// registers/L1 while the candidate block is swept. `cols` is the
-/// tile's column block of arena views, shared across rows.
+/// Routes through the row driver
+/// ([`intersect::count_mixed_one_vs_many_into`]): the backend is
+/// dispatched once for the whole row, and a batmap row's words stay hot
+/// in registers/L1 while each equal-width candidate block is swept.
+/// `cols` is the tile's column block of arena views, shared across
+/// rows.
 #[inline]
-fn fill_row(
-    pre: &Preprocessed,
-    cols: &[BatmapRef<'_>],
-    tile: &Tile,
-    r: usize,
-    row_out: &mut [u64],
-) {
-    let a = pre.batmap(tile.row_base + r);
-    let first = first_useful_col(tile, r);
-    if first >= tile.cols {
-        return; // last row of a diagonal tile reports nothing
-    }
-    intersect::count_one_vs_many_into(&a, &cols[first..], &mut row_out[first..]);
-}
-
-/// [`fill_row`] for hybrid corpora: same triangular skip, routed
-/// through the mixed-representation row driver.
-#[inline]
-fn fill_row_mixed(
-    pre: &Preprocessed,
-    cols: &[SetView<'_>],
-    tile: &Tile,
-    r: usize,
-    row_out: &mut [u64],
-) {
+fn fill_row(pre: &Preprocessed, cols: &[SetView<'_>], tile: &Tile, r: usize, row_out: &mut [u64]) {
     let a = pre.payload(tile.row_base + r);
     let first = first_useful_col(tile, r);
     if first >= tile.cols {
@@ -108,30 +81,11 @@ fn fill_row_mixed(
 /// speedup story and the oracle of the parallel-equivalence tests.
 pub fn run_tile_cpu_serial(pre: &Preprocessed, tile: &Tile) -> Vec<u64> {
     let mut counts = vec![0u64; tile.rows * tile.cols];
-    if pre.arena.is_all_batmap() {
-        let cols = pre.arena.views(tile.col_base..tile.col_base + tile.cols);
-        for r in 0..tile.rows {
-            fill_row(
-                pre,
-                &cols,
-                tile,
-                r,
-                &mut counts[r * tile.cols..(r + 1) * tile.cols],
-            );
-        }
-    } else {
-        let cols = pre
-            .arena
-            .payload_views(tile.col_base..tile.col_base + tile.cols);
-        for r in 0..tile.rows {
-            fill_row_mixed(
-                pre,
-                &cols,
-                tile,
-                r,
-                &mut counts[r * tile.cols..(r + 1) * tile.cols],
-            );
-        }
+    let cols = pre
+        .arena
+        .payload_views(tile.col_base..tile.col_base + tile.cols);
+    for (r, row_out) in counts.chunks_mut(tile.cols).enumerate() {
+        fill_row(pre, &cols, tile, r, row_out);
     }
     counts
 }
@@ -141,21 +95,13 @@ pub fn run_tile_cpu_serial(pre: &Preprocessed, tile: &Tile) -> Vec<u64> {
 /// fewer tiles than workers, so parallelism comes from inside the tile.
 pub fn run_tile_cpu_rows(pre: &Preprocessed, tile: &Tile) -> Vec<u64> {
     let mut counts = vec![0u64; tile.rows * tile.cols];
-    if pre.arena.is_all_batmap() {
-        let cols = pre.arena.views(tile.col_base..tile.col_base + tile.cols);
-        counts
-            .par_chunks_mut(tile.cols)
-            .enumerate()
-            .for_each(|(r, row_out)| fill_row(pre, &cols, tile, r, row_out));
-    } else {
-        let cols = pre
-            .arena
-            .payload_views(tile.col_base..tile.col_base + tile.cols);
-        counts
-            .par_chunks_mut(tile.cols)
-            .enumerate()
-            .for_each(|(r, row_out)| fill_row_mixed(pre, &cols, tile, r, row_out));
-    }
+    let cols = pre
+        .arena
+        .payload_views(tile.col_base..tile.col_base + tile.cols);
+    counts
+        .par_chunks_mut(tile.cols)
+        .enumerate()
+        .for_each(|(r, row_out)| fill_row(pre, &cols, tile, r, row_out));
     counts
 }
 
@@ -299,7 +245,10 @@ mod tests {
         );
         let v = VerticalDb::from_horizontal(&db);
         let pre = preprocess_with(&v, 5, 128, EngineOptions::auto().repr(ReprPolicy::Hybrid));
-        assert!(!pre.arena.is_all_batmap(), "fixture must be hybrid");
+        assert!(
+            (0..pre.arena.len()).any(|i| !matches!(pre.payload(i), SetView::Batmap(_))),
+            "fixture must be hybrid"
+        );
         let oracle = |a: usize, b: usize| -> u64 {
             let mut ea = pre.payload(a).elements();
             ea.sort_unstable();

@@ -29,18 +29,16 @@
 //! executors leave them zero, the GPU executor computes them).
 //!
 //! Both CPU tile runners (`pairminer::cpu`) feed each tile row through
-//! the batched one-vs-many intersection driver
-//! (`batmap::intersect::count_one_vs_many_into`): the match-count
-//! backend is dispatched once per row, the row's batmap stays hot in
-//! registers/L1 across the column block, and equal-width column runs
-//! (common — preprocessing sorts batmaps by width) take the kernels'
-//! register-blocked sweep. All operands are zero-copy payload views
-//! into the preprocessed corpus's contiguous `BatmapArena` —
-//! `BatmapRef`s for an all-batmap corpus, typed `SetView`s (batmap /
-//! bitmap / tidlist, routed through the mixed-representation kernels)
-//! for a hybrid one (width-sorted sets sit width-adjacent in one
-//! buffer, so a tile walk streams linearly instead of chasing per-set
-//! boxes).
+//! the one-vs-many row driver
+//! (`batmap::intersect::count_mixed_one_vs_many_into`): the match-count
+//! backend is dispatched once per row, a batmap row stays hot in
+//! registers/L1 across the column block, and equal-width batmap columns
+//! (common — preprocessing sorts sets by width) take the kernels'
+//! register-blocked sweep. All operands are zero-copy typed `SetView`s
+//! (batmap / bitmap / tidlist) into the preprocessed corpus's
+//! contiguous `BatmapArena`, whether the corpus is pure batmap or
+//! hybrid (width-sorted sets sit width-adjacent in one buffer, so a
+//! tile walk streams linearly instead of chasing per-set boxes).
 
 use crate::cpu;
 use crate::gpu::{self, DeviceData};

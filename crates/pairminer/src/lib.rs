@@ -45,6 +45,4 @@ pub use levelwise::{LevelReport, LevelwiseConfig, LevelwiseMiner, LevelwiseRepor
 pub use memory::MemoryReport;
 pub use miner::{mine, mine_preprocessed, Engine, MinerConfig, MiningReport, Timings};
 pub use preprocess::{preprocess, preprocess_with, Preprocessed, BLOCK, GPU_MIN_SHIFT};
-#[allow(deprecated)] // the shims stay importable from their old paths
-pub use preprocess::{preprocess_with_kernel, preprocess_with_options, preprocess_with_repr};
 pub use schedule::{schedule, Tile};

@@ -56,13 +56,8 @@ pub struct MinerConfig {
 
 impl Default for MinerConfig {
     fn default() -> Self {
-        // The default tile side comes from the autotuned profile
-        // (`BATMAP_TUNING`, built-in 2048 = the paper's choice),
-        // rounded up to the 16-wide block the schedule requires. An
-        // explicit `k` always wins — this only sets the default.
-        let tuned = batmap::TuningProfile::current().tile_side;
         MinerConfig {
-            k: tuned.next_multiple_of(crate::preprocess::BLOCK).max(16),
+            k: 2048,
             minsup: 1,
             seed: 0xBA7_A11,
             max_loop: 128,

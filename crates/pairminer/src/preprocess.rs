@@ -36,8 +36,7 @@
 
 use batmap::{
     ArenaSetOutcome, BatmapArena, BatmapBuilder, BatmapParams, BatmapRef, EngineOptions,
-    KernelBackend, Parallelism, ParamsHandle, ReprPolicy, SetRepr, SetSpec, SetView, SnapshotError,
-    SnapshotLoad,
+    ParamsHandle, ReprPolicy, SetRepr, SetSpec, SetView, SnapshotError, SnapshotLoad,
 };
 use fim::VerticalDb;
 use hpcutil::MemoryFootprint;
@@ -70,8 +69,8 @@ pub struct Preprocessed {
     pub params: ParamsHandle,
     /// All sets in one contiguous arena, sorted by increasing payload
     /// width and padded with empty sets to a multiple of [`BLOCK`].
-    /// All-batmap under the legacy entry points; a mix of typed
-    /// representations under [`preprocess_with_repr`].
+    /// All-batmap under [`preprocess`]; a mix of typed representations
+    /// under [`preprocess_with`] with a hybrid policy.
     pub arena: BatmapArena,
     /// `order[s] = original item id` of sorted position `s` (length =
     /// real item count; padding positions have no entry).
@@ -415,85 +414,12 @@ pub fn preprocess(v: &VerticalDb, seed: u64, max_loop: u32) -> Preprocessed {
     )
 }
 
-/// [`preprocess`] with an explicit match-count backend.
-#[deprecated(
-    since = "0.7.0",
-    note = "use `preprocess_with(v, seed, max_loop, EngineOptions::auto()\
-            .kernel(..).repr(ReprPolicy::Batmap))`"
-)]
-pub fn preprocess_with_kernel(
-    v: &VerticalDb,
-    seed: u64,
-    max_loop: u32,
-    kernel: KernelBackend,
-) -> Preprocessed {
-    preprocess_with(
-        v,
-        seed,
-        max_loop,
-        EngineOptions::auto()
-            .kernel(kernel)
-            .repr(ReprPolicy::Batmap),
-    )
-}
-
-/// [`preprocess`] with explicit match-count backend and host-parallelism
-/// knobs; the storage policy stays pinned to the legacy all-batmap
-/// corpus.
-#[deprecated(
-    since = "0.7.0",
-    note = "use `preprocess_with(v, seed, max_loop, EngineOptions::auto()\
-            .kernel(..).threads(..).repr(ReprPolicy::Batmap))`"
-)]
-pub fn preprocess_with_options(
-    v: &VerticalDb,
-    seed: u64,
-    max_loop: u32,
-    kernel: KernelBackend,
-    threads: Parallelism,
-) -> Preprocessed {
-    preprocess_with(
-        v,
-        seed,
-        max_loop,
-        EngineOptions::auto()
-            .kernel(kernel)
-            .threads(threads)
-            .repr(ReprPolicy::Batmap),
-    )
-}
-
-/// [`preprocess_with`] taking the knobs as three positional arguments.
-#[deprecated(
-    since = "0.7.0",
-    note = "use `preprocess_with(v, seed, max_loop, EngineOptions::auto()\
-            .kernel(..).threads(..).repr(..))`"
-)]
-pub fn preprocess_with_repr(
-    v: &VerticalDb,
-    seed: u64,
-    max_loop: u32,
-    kernel: KernelBackend,
-    threads: Parallelism,
-    repr: ReprPolicy,
-) -> Preprocessed {
-    preprocess_with(
-        v,
-        seed,
-        max_loop,
-        EngineOptions::auto()
-            .kernel(kernel)
-            .threads(threads)
-            .repr(repr),
-    )
-}
-
 /// Canonical preprocessing entry point: every engine knob — match-count
 /// backend, host parallelism, storage representation — arrives as one
 /// [`EngineOptions`] value and is pinned on the universe parameters, so
 /// both mining engines and every later intersection inherit the
 /// configuration. Batmap construction runs in the pool the threads knob
-/// selects ([`Parallelism::Serial`] builds strictly sequentially,
+/// selects ([`batmap::Parallelism::Serial`] builds strictly sequentially,
 /// exercising the single-segment path).
 ///
 /// The storage policy shapes the corpus: [`ReprPolicy::Batmap`]
@@ -657,6 +583,7 @@ fn direct_outcome(len: usize) -> ArenaSetOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batmap::Parallelism;
     use fim::TransactionDb;
 
     fn vertical() -> VerticalDb {

@@ -80,8 +80,10 @@ proptest! {
         // Batched one-vs-many over views vs over owned batmaps.
         let views = arena.views(0..arena.len());
         for i in 0..owned.len() {
-            let from_views = intersect::count_one_vs_many(&arena.get(i), &views);
-            let from_owned = intersect::count_one_vs_many(&owned[i], &owned);
+            let mut from_views = vec![0u64; views.len()];
+            intersect::count_one_vs_many_into(&arena.get(i), &views, &mut from_views);
+            let mut from_owned = vec![0u64; owned.len()];
+            intersect::count_one_vs_many_into(&owned[i], &owned, &mut from_owned);
             prop_assert_eq!(from_views, from_owned);
         }
 

@@ -3,15 +3,12 @@
 //! speed — byte-identical arenas, identical mining reports, identical
 //! served answers — while corruption keeps getting caught (eagerly for
 //! headers/side tables/truncation, via the deferred `verify()` for
-//! payload flips). Plus the tuning profile's invariance contract: no
-//! profile value may change any count.
+//! payload flips).
 
 #![cfg(all(unix, target_pointer_width = "64"))]
 
-use batmap::intersect::count_one_vs_many_tuned;
 use batmap::{
-    available_backends, Batmap, BatmapArena, BatmapParams, EngineOptions, Parallelism, ReprPolicy,
-    SnapshotLoad, TuningProfile,
+    Batmap, BatmapArena, BatmapParams, EngineOptions, Parallelism, ReprPolicy, SnapshotLoad,
 };
 use fim::{TransactionDb, VerticalDb};
 use pairminer::{mine_preprocessed, preprocess_with, Engine, MinerConfig, Preprocessed};
@@ -90,42 +87,6 @@ proptest! {
         };
         prop_assert!(caught, "flip at byte {} of {} escaped", poke, pristine.len());
         std::fs::remove_file(&path).unwrap();
-    }
-
-    /// The tuning profile is a pure speed knob: whatever (sanitized)
-    /// values it carries, the batched one-vs-many driver's counts do
-    /// not move, under any available backend.
-    #[test]
-    fn tuning_profile_never_changes_counts(
-        probe in btree_set(0u32..5_000, 1..150),
-        sets in proptest::collection::vec(btree_set(0u32..5_000, 0..150), 0..10),
-        sweep_block in 0usize..20,
-        prefetch_dist in 0usize..100,
-    ) {
-        let params = Arc::new(BatmapParams::new(5_000, 7));
-        let pv: Vec<u32> = probe.iter().copied().collect();
-        let bp = Batmap::build_sorted(params.clone(), &pv).batmap;
-        prop_assume!(bp.len() == pv.len());
-        let many: Vec<Batmap> = sets
-            .iter()
-            .map(|s| {
-                let v: Vec<u32> = s.iter().copied().collect();
-                Batmap::build_sorted(params.clone(), &v).batmap
-            })
-            .collect();
-        prop_assume!(many.iter().zip(&sets).all(|(m, s)| m.len() == s.len()));
-        let expect: Vec<u64> = sets.iter().map(|s| probe.intersection(s).count() as u64).collect();
-        let profile = TuningProfile {
-            tile_side: 2048,
-            sweep_block,
-            prefetch_dist,
-        }
-        .sanitized();
-        for backend in available_backends() {
-            let mut out = vec![0u64; many.len()];
-            count_one_vs_many_tuned(backend, &bp, &many, &mut out, profile);
-            prop_assert_eq!(&out, &expect, "backend {} profile {:?}", backend, profile);
-        }
     }
 }
 

@@ -9,7 +9,10 @@
 //! relies on.
 
 use batmap::kernel::ScalarKernel;
-use batmap::{available_backends, intersect, Batmap, BatmapParams, KernelBackend, MatchKernel};
+use batmap::{
+    available_backends, intersect, ArenaBuilder, Batmap, BatmapParams, EngineOptions,
+    KernelBackend, MatchKernel, SetRepr,
+};
 use proptest::collection::btree_set;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -120,40 +123,57 @@ proptest! {
         }
     }
 
-    /// End to end: the batched one-vs-many driver returns exactly the
+    /// End to end: both one-vs-many drivers return exactly the
     /// pointwise intersection counts for arbitrary batmap sets with
     /// mixed widths (blocked equal-width path and pairwise fallback in
-    /// one batch), under every available backend.
+    /// one row), under every available backend pinned on the universe
+    /// parameters. Rows hold up to 3·8+1 candidates, so they fill,
+    /// straddle and leave partial the driver's stack block of eight.
+    /// The drivers run over owned batmaps, over arena views, and over
+    /// typed arena views.
     #[test]
     fn one_vs_many_driver_matches_pointwise(
         probe in btree_set(0u32..M as u32, 1..500),
-        sets in proptest::collection::vec(btree_set(0u32..M as u32, 0..500), 0..8),
+        sets in proptest::collection::vec(btree_set(0u32..M as u32, 0..500), 0..26),
         seed in 0u64..200,
     ) {
-        let params = Arc::new(BatmapParams::new(M, seed));
-        let probe_v: Vec<u32> = probe.iter().copied().collect();
-        let bp = Batmap::build_sorted(params.clone(), &probe_v).batmap;
-        prop_assume!(bp.len() == probe_v.len());
-        let many: Vec<Batmap> = sets
-            .iter()
-            .map(|s| {
-                let v: Vec<u32> = s.iter().copied().collect();
-                Batmap::build_sorted(params.clone(), &v).batmap
-            })
-            .collect();
-        prop_assume!(many.iter().zip(&sets).all(|(m, s)| m.len() == s.len()));
         let expect: Vec<u64> = sets
             .iter()
             .map(|s| probe.intersection(s).count() as u64)
             .collect();
+        let probe_v: Vec<u32> = probe.iter().copied().collect();
+        let sets_v: Vec<Vec<u32>> = sets.iter().map(|s| s.iter().copied().collect()).collect();
         for backend in available_backends() {
+            let params = Arc::new(
+                BatmapParams::new(M, seed)
+                    .with_engine_options(EngineOptions::auto().kernel(backend)),
+            );
+            let bp = Batmap::build_sorted(params.clone(), &probe_v).batmap;
+            prop_assume!(bp.len() == probe_v.len());
+            let many: Vec<Batmap> = sets_v
+                .iter()
+                .map(|v| Batmap::build_sorted(params.clone(), v).batmap)
+                .collect();
+            prop_assume!(many.iter().zip(&sets_v).all(|(m, v)| m.len() == v.len()));
             let mut out = vec![0u64; many.len()];
-            intersect::count_one_vs_many_with(backend, &bp, &many, &mut out);
-            prop_assert_eq!(&out, &expect, "backend {}", backend);
+            intersect::count_one_vs_many_into(&bp, &many, &mut out);
+            prop_assert_eq!(&out, &expect, "backend {} owned", backend);
+
+            let mut builder = ArenaBuilder::new(params);
+            builder.push_elements(&probe_v, SetRepr::Batmap);
+            for v in &sets_v {
+                builder.push_elements(v, SetRepr::Batmap);
+            }
+            let arena = builder.finish();
+            let views = arena.views(1..arena.len());
+            out.fill(u64::MAX);
+            intersect::count_one_vs_many_into(&arena.get(0), &views, &mut out);
+            prop_assert_eq!(&out, &expect, "backend {} arena views", backend);
+            let typed = arena.payload_views(1..arena.len());
+            out.fill(u64::MAX);
+            intersect::count_mixed_one_vs_many_into(&arena.payload(0), &typed, &mut out);
+            prop_assert_eq!(&out, &expect, "backend {} typed views", backend);
         }
-        // And the params-driven entry point (what the tile executors
-        // and examples call).
-        prop_assert_eq!(intersect::count_one_vs_many(&bp, &many), expect);
     }
 }
 
