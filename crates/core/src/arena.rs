@@ -37,23 +37,30 @@
 //! served byte-identically by a SWAR-only one; the header records that
 //! invariant explicitly and the loader enforces it.
 //!
-//! ## Backing stores and the two load paths
+//! ## Backing stores and load paths
 //!
-//! An arena's payload lives behind an internal backing abstraction
-//! with two variants:
+//! A snapshot is one byte image, so there is one parser for it:
+//! [`BatmapArena::from_snapshot_bytes`] checks the envelope, header
+//! and directory over a [`SnapshotBytes`], whatever brought those
+//! bytes into memory. [`SnapshotBytes::open`] is the one place the
+//! [`SnapshotLoad`] knob
+//! ([`crate::EngineOptions::load`](crate::EngineOptions#structfield.load),
+//! `BATMAP_LOAD`, `--load`) is resolved, for arena files and for the
+//! `pairminer` corpus files that embed them. An arena's payload then
+//! lives in one of two backing stores:
 //!
-//! * **heap** — an owned `Box<[u64]>` (every built arena, and
-//!   snapshots loaded through [`BatmapArena::read_from`]). The
-//!   buffered load reads the whole payload and verifies the
-//!   directory/payload checksum *eagerly*, so a loaded arena is known
-//!   good before the first query.
+//! * **heap** — an owned `Box<[u64]>`: every built arena, and every
+//!   buffered load. A buffered load reads the file once into an
+//!   exact-size word buffer, parses it, runs [`BatmapArena::verify`]
+//!   *eagerly*, then moves the payload words to the front of that
+//!   buffer and truncates it. The arena holds exactly its payload and
+//!   is known good before the first query.
 //! * **mmap** — a read-only, page-faulted window of the snapshot file
-//!   ([`BatmapArena::open_mmap_file`], 64-bit Unix only). Open cost is
-//!   O(header + directory): the envelope, parameters, and every
-//!   directory entry are validated eagerly, but the payload bytes are
-//!   only touched when queries sweep them, so a cold multi-GiB corpus
-//!   serves its first query in milliseconds. The payload checksum is
-//!   deferred — [`BatmapArena::verify`] runs it on demand (and
+//!   ([`SnapshotLoad::Mmap`], 64-bit Unix only). Open cost is
+//!   O(header + directory): the parser touches nothing past the
+//!   directory, so a cold multi-GiB corpus serves its first query in
+//!   milliseconds. The payload checksum is deferred —
+//!   [`BatmapArena::verify`] runs it on demand (and
 //!   [`BatmapArena::verification_pending`] tells whether such a
 //!   deferred check exists). Structural corruption a query could trip
 //!   over (bad offsets, overlapping windows, implausible
@@ -61,11 +68,9 @@
 //!   verification only delays detection of *payload* bit-rot, which
 //!   can change counts but never memory safety.
 //!
-//! Which path a load-aware opener takes is the [`SnapshotLoad`] knob
-//! ([`crate::EngineOptions::load`](crate::EngineOptions#structfield.load),
-//! `BATMAP_LOAD`, `--load`), threaded through
-//! [`BatmapArena::read_from_file_with`], the `pairminer` corpus open,
-//! and the server's corpus loading. Version-4 snapshots pad the
+//! Both paths report every damaged byte with the same
+//! [`SnapshotError`] variant; on the mapped path some of them surface
+//! from `verify()` instead of the open. Version-4 snapshots pad the
 //! payload to a [`SET_ALIGN`] boundary within the envelope so mapped
 //! set windows keep the same 64-byte alignment heap arenas enjoy.
 
@@ -91,8 +96,9 @@ pub const SET_ALIGN: usize = 64;
 /// Magic bytes opening every arena snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"BATMAPAR";
 
-/// Snapshot format version ([`BatmapArena::read_from`] refuses others).
-/// Version 2 added the per-set representation tag to the directory
+/// Snapshot format version (the one parser,
+/// [`BatmapArena::from_snapshot_bytes`], refuses others on every load
+/// path). Version 2 added the per-set representation tag to the directory
 /// (24-byte entries became 32-byte entries); version 3 added a header
 /// checksum to the envelope so bit-rot inside the params JSON is
 /// caught as [`SnapshotError::Corrupted`] instead of silently changing
@@ -104,9 +110,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"BATMAPAR";
 /// misparsed.
 pub const SNAPSHOT_VERSION: u32 = 4;
 
-/// How a snapshot file is brought into memory by the load-aware open
-/// paths ([`BatmapArena::read_from_file_with`], the `pairminer` corpus
-/// open, the server's corpus loading). See the module docs for the
+/// How a snapshot file is brought into memory ([`SnapshotBytes::open`],
+/// behind [`BatmapArena::read_from_file_with`], the `pairminer` corpus
+/// open and the server's corpus loading). See the module docs for the
 /// trade-off; resolution rules mirror [`crate::KernelBackend`]
 /// (explicit > `BATMAP_LOAD` > default, one-time warnings for
 /// unavailable or unparseable requests).
@@ -557,8 +563,7 @@ impl BatmapArena {
     /// on-disk bit-rot behind a long-lived mapping).
     pub fn verify(&self) -> Result<(), SnapshotError> {
         if let Some(expected) = self.pending_checksum {
-            let dir_bytes = encode_dir(&self.dir);
-            if fnv1a(&dir_bytes, fnv1a(self.backing.bytes(), FNV_OFFSET)) != expected {
+            if dir_payload_checksum(&encode_dir(&self.dir), self.backing.bytes()) != expected {
                 return Err(SnapshotError::Corrupted(
                     "directory/payload checksum mismatch".to_string(),
                 ));
@@ -666,7 +671,7 @@ impl BatmapArena {
             fingerprint: self.params.fingerprint(),
             n_sets: self.dir.len() as u64,
             payload_bytes: payload.len() as u64,
-            checksum: fnv1a(&dir_bytes, fnv1a(payload, FNV_OFFSET)),
+            checksum: dir_payload_checksum(&dir_bytes, payload),
             counts_kernel_independent: true,
         };
         let header_json = serde_json::to_string(&header)
@@ -704,116 +709,17 @@ impl BatmapArena {
     }
 
     /// Load an arena from a snapshot file written by
-    /// [`BatmapArena::write_to_file`] (buffered
-    /// [`BatmapArena::read_from`]).
+    /// [`BatmapArena::write_to_file`]: a buffered load, verified before
+    /// it returns.
     pub fn read_from_file<P: AsRef<std::path::Path>>(path: P) -> Result<Self, SnapshotError> {
-        let file = std::fs::File::open(path)?;
-        Self::read_from(&mut std::io::BufReader::new(file))
+        Self::read_from_file_with(path, SnapshotLoad::Buffered)
     }
 
-    /// Load an arena from a snapshot written by [`BatmapArena::write_to`].
-    ///
-    /// Every header field is checked before the payload is trusted:
-    /// magic and version, parameter self-consistency (the stored
-    /// fingerprint must match one recomputed from the stored
-    /// parameters — a corrupted or spliced header fails here), the
-    /// kernel-independence marker, directory sanity (ranges powers of
-    /// two ≥ `r₀`, aligned non-overlapping monotone offsets, windows in
-    /// bounds, plausible cardinalities), and the payload checksum.
+    /// Load an arena from a snapshot written by [`BatmapArena::write_to`]:
+    /// read `r` to its end, then parse and verify it as a buffered load
+    /// ([`BatmapArena::from_snapshot_bytes`]).
     pub fn read_from<R: Read>(r: &mut R) -> Result<Self, SnapshotError> {
-        let bad = |what: &str| SnapshotError::Format(what.to_string());
-        let mut magic = [0u8; 8];
-        read_section(r, &mut magic, "magic")?;
-        if magic != SNAPSHOT_MAGIC {
-            return Err(bad("not a batmap arena snapshot (bad magic)"));
-        }
-        let mut u32buf = [0u8; 4];
-        read_section(r, &mut u32buf, "version")?;
-        let version = u32::from_le_bytes(u32buf);
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::Format(format!(
-                "unsupported snapshot version {version} (this build reads {SNAPSHOT_VERSION})"
-            )));
-        }
-        read_section(r, &mut u32buf, "header length")?;
-        let header_len = u32::from_le_bytes(u32buf) as usize;
-        if header_len > 1 << 20 {
-            return Err(bad("implausible header length"));
-        }
-        let mut u64buf = [0u8; 8];
-        read_section(r, &mut u64buf, "header checksum")?;
-        let header_checksum = u64::from_le_bytes(u64buf);
-        let mut header_bytes = vec![0u8; header_len];
-        read_section(r, &mut header_bytes, "header")?;
-        let header = parse_snapshot_header(&header_bytes, header_checksum)?;
-        let params: ParamsHandle = Arc::new(header.params);
-        let n_sets = usize::try_from(header.n_sets).map_err(|_| bad("set count overflow"))?;
-        let payload_bytes =
-            usize::try_from(header.payload_bytes).map_err(|_| bad("payload size overflow"))?;
-        if payload_bytes % 8 != 0 {
-            return Err(bad("payload not a whole number of words"));
-        }
-        // Size fields come from a header that is parse- and
-        // fingerprint-checked but not yet checksummed against the data,
-        // so never allocate what *it* claims up front: the directory
-        // read is `take`-bounded and the payload buffer grows
-        // geometrically with the bytes the stream actually delivers, so
-        // a lying or corrupted header surfaces as a truncation error
-        // instead of a multi-terabyte allocation request (which would
-        // abort the process rather than return a `SnapshotError`).
-        let dir_len = n_sets
-            .checked_mul(32)
-            .ok_or_else(|| bad("directory overflow"))?;
-        let mut dir_bytes = Vec::new();
-        r.by_ref()
-            .take(dir_len as u64)
-            .read_to_end(&mut dir_bytes)?;
-        if dir_bytes.len() != dir_len {
-            return Err(SnapshotError::Truncated(format!(
-                "directory ends after {} of {} bytes",
-                dir_bytes.len(),
-                dir_len
-            )));
-        }
-        let pad = payload_pad(header_len, dir_len);
-        let mut padbuf = [0u8; SET_ALIGN];
-        read_section(r, &mut padbuf[..pad], "alignment padding")?;
-        check_pad_zero(&padbuf[..pad])?;
-        // Single pass: read straight into the word buffer's byte view —
-        // no intermediate Vec<u8> plus copy. Growth is geometric and
-        // capped at the claimed size, so a premature EOF costs at most
-        // 2× the delivered bytes, never the claimed size.
-        let mut words: Vec<u64> = Vec::new();
-        let mut filled = 0usize;
-        while filled < payload_bytes {
-            if filled == words.len() * 8 {
-                let grown = (words.len() * 16).max(64 * 1024).min(payload_bytes);
-                words.resize(words_for(grown), 0);
-            }
-            match r.read(&mut words_as_bytes_mut(&mut words)[filled..]) {
-                Ok(0) => {
-                    return Err(SnapshotError::Truncated(format!(
-                        "payload ends after {filled} of {payload_bytes} bytes"
-                    )));
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(SnapshotError::Io(e)),
-            }
-        }
-        let words = words.into_boxed_slice();
-        if fnv1a(&dir_bytes, fnv1a(words_as_bytes(&words), FNV_OFFSET)) != header.checksum {
-            return Err(SnapshotError::Corrupted(
-                "directory/payload checksum mismatch".to_string(),
-            ));
-        }
-        let dir = parse_dir(&params, &dir_bytes, payload_bytes)?;
-        Ok(BatmapArena {
-            params,
-            backing: Backing::Heap(words),
-            dir,
-            pending_checksum: None,
-        })
+        Self::from_snapshot_bytes(SnapshotBytes::read(r)?, 0)
     }
 
     /// Load an arena from a snapshot file, choosing the read path with
@@ -825,111 +731,213 @@ impl BatmapArena {
         path: P,
         load: SnapshotLoad,
     ) -> Result<Self, SnapshotError> {
-        match load.resolve() {
-            #[cfg(all(unix, target_pointer_width = "64"))]
-            SnapshotLoad::Mmap => Self::open_mmap_file(path),
-            _ => Self::read_from_file(path),
-        }
+        Self::from_snapshot_bytes(SnapshotBytes::open(path.as_ref(), load)?, 0)
     }
 
-    /// Map a snapshot file read-only and serve the payload zero-copy
-    /// (the [`SnapshotLoad::Mmap`] path; 64-bit Unix only). Envelope,
-    /// header, and directory are validated exactly as in
-    /// [`BatmapArena::read_from`]; the payload checksum is deferred to
-    /// [`BatmapArena::verify`] so a cold multi-GiB corpus opens in
-    /// O(header + directory) time.
-    #[cfg(all(unix, target_pointer_width = "64"))]
-    pub fn open_mmap_file<P: AsRef<std::path::Path>>(path: P) -> Result<Self, SnapshotError> {
-        let map = Arc::new(crate::mmap::MmapFile::open(path.as_ref())?);
-        let (arena, _end) = Self::from_mapped(map, 0)?;
+    /// Parse the arena snapshot that starts at byte `at` of `bytes`:
+    /// the one arena parser, run by every load path and by the
+    /// `pairminer` corpus envelope that embeds an arena snapshot.
+    ///
+    /// Every header field is checked before the payload is trusted:
+    /// magic and version, the header checksum, parameter
+    /// self-consistency (the stored fingerprint must match one
+    /// recomputed from the stored parameters — a corrupted or spliced
+    /// header fails here), the kernel-independence marker, the zero
+    /// padding, and directory sanity (ranges powers of two ≥ `r₀`,
+    /// aligned non-overlapping monotone offsets, windows in bounds,
+    /// plausible cardinalities). A buffered source is then verified
+    /// here, and its payload words become the arena's heap backing; a
+    /// mapped source is never touched past the directory, and its
+    /// payload checksum waits for [`BatmapArena::verify`].
+    ///
+    /// `at` must be a multiple of [`SET_ALIGN`] or the payload would
+    /// lose the alignment the format guarantees; embedders pad to
+    /// ensure this, and a misaligned start is a format error.
+    pub fn from_snapshot_bytes(bytes: SnapshotBytes, at: usize) -> Result<Self, SnapshotError> {
+        let envelope = parse_envelope(bytes.as_slice(), at)?;
+        let mut arena = BatmapArena {
+            params: envelope.params,
+            backing: bytes.into_backing(envelope.payload),
+            dir: envelope.dir,
+            pending_checksum: Some(envelope.checksum),
+        };
+        if let Backing::Heap(_) = arena.backing {
+            // Every byte is in memory already: a buffered load is known
+            // good before it is handed out.
+            arena.verify()?;
+            arena.pending_checksum = None;
+        }
         Ok(arena)
     }
+}
 
-    /// Open the arena snapshot starting at byte `at` of `map` without
-    /// copying the payload; returns the arena and the offset one past
-    /// its envelope (so wrappers embedding an arena snapshot — the
-    /// `pairminer` corpus format — can keep parsing after it). `at`
-    /// must be a multiple of [`SET_ALIGN`] or the mapped payload would
-    /// lose the alignment the format guarantees; embedders pad to
-    /// ensure this, and a misaligned start is rejected as a format
-    /// error.
+/// A whole snapshot file in memory: the input of the arena parser
+/// ([`BatmapArena::from_snapshot_bytes`]) and of the `pairminer`
+/// corpus parser. [`SnapshotBytes::open`] is the one place a
+/// [`SnapshotLoad`] choice turns into bytes.
+#[derive(Debug)]
+pub struct SnapshotBytes(Source);
+
+#[derive(Debug)]
+enum Source {
+    /// The file read once: its `len` bytes fill the front of a word
+    /// buffer, so the payload can later be moved down and kept as the
+    /// arena's heap backing.
+    Buffered { words: Vec<u64>, len: usize },
+    /// A read-only mapping of the file.
     #[cfg(all(unix, target_pointer_width = "64"))]
-    pub fn from_mapped(
-        map: Arc<crate::mmap::MmapFile>,
-        at: usize,
-    ) -> Result<(Self, usize), SnapshotError> {
-        let bad = |what: &str| SnapshotError::Format(what.to_string());
-        if !at.is_multiple_of(SET_ALIGN) {
-            return Err(bad("mapped arena envelope must start 64-byte aligned"));
+    Mapped(crate::mmap::MmapFile),
+}
+
+impl SnapshotBytes {
+    /// Bring the snapshot file at `path` into memory along the path
+    /// `load` resolves to: [`SnapshotLoad::Mmap`] maps it read-only,
+    /// [`SnapshotLoad::Buffered`] reads it once into an exact-size word
+    /// buffer.
+    pub fn open(path: &std::path::Path, load: SnapshotLoad) -> Result<Self, SnapshotError> {
+        match load.resolve() {
+            #[cfg(all(unix, target_pointer_width = "64"))]
+            SnapshotLoad::Mmap => Ok(SnapshotBytes(Source::Mapped(crate::mmap::MmapFile::open(
+                path,
+            )?))),
+            _ => {
+                let mut file = std::fs::File::open(path)?;
+                let len = usize::try_from(file.metadata()?.len())
+                    .map_err(|_| std::io::Error::other("snapshot too large to read"))?;
+                let mut words = vec![0u64; words_for(len)];
+                file.read_exact(&mut words_as_bytes_mut(&mut words)[..len])?;
+                Ok(SnapshotBytes(Source::Buffered { words, len }))
+            }
         }
-        let bytes = map.bytes();
-        let magic = mapped_section(bytes, at, 8, "magic")?;
-        if magic != SNAPSHOT_MAGIC {
-            return Err(bad("not a batmap arena snapshot (bad magic)"));
-        }
-        let version = u32::from_le_bytes(
-            mapped_section(bytes, at + 8, 4, "version")?
-                .try_into()
-                .unwrap(),
-        );
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::Format(format!(
-                "unsupported snapshot version {version} (this build reads {SNAPSHOT_VERSION})"
-            )));
-        }
-        let header_len = u32::from_le_bytes(
-            mapped_section(bytes, at + 12, 4, "header length")?
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        if header_len > 1 << 20 {
-            return Err(bad("implausible header length"));
-        }
-        let header_checksum = u64::from_le_bytes(
-            mapped_section(bytes, at + 16, 8, "header checksum")?
-                .try_into()
-                .unwrap(),
-        );
-        let header_bytes = mapped_section(bytes, at + 24, header_len, "header")?;
-        let header = parse_snapshot_header(header_bytes, header_checksum)?;
-        let params: ParamsHandle = Arc::new(header.params);
-        let n_sets = usize::try_from(header.n_sets).map_err(|_| bad("set count overflow"))?;
-        let payload_bytes =
-            usize::try_from(header.payload_bytes).map_err(|_| bad("payload size overflow"))?;
-        if payload_bytes % 8 != 0 {
-            return Err(bad("payload not a whole number of words"));
-        }
-        let dir_len = n_sets
-            .checked_mul(32)
-            .ok_or_else(|| bad("directory overflow"))?;
-        let dir_bytes = mapped_section(bytes, at + 24 + header_len, dir_len, "directory")?;
-        let pad = payload_pad(header_len, dir_len);
-        check_pad_zero(mapped_section(
-            bytes,
-            at + 24 + header_len + dir_len,
-            pad,
-            "alignment padding",
-        )?)?;
-        let payload_at = at + 24 + header_len + dir_len + pad;
-        let payload = mapped_section(bytes, payload_at, payload_bytes, "payload")?;
-        debug_assert_eq!(payload.as_ptr() as usize % SET_ALIGN % 8, 0);
-        let dir = parse_dir(&params, dir_bytes, payload_bytes)?;
-        Ok((
-            BatmapArena {
-                params,
-                backing: Backing::Mmap {
-                    map: map.clone(),
-                    offset: payload_at,
-                    len: payload_bytes,
-                },
-                dir,
-                // The payload was deliberately not touched: record the
-                // header's claim for a later `verify()`.
-                pending_checksum: Some(header.checksum),
-            },
-            payload_at + payload_bytes,
-        ))
     }
+
+    /// Read `r` to its end. A stream has no size to allocate once, so
+    /// its bytes are copied into a word buffer after reading; file
+    /// loads go through [`SnapshotBytes::open`], which does not copy.
+    pub fn read<R: Read>(r: &mut R) -> Result<Self, SnapshotError> {
+        let mut bytes = Vec::new();
+        r.read_to_end(&mut bytes)?;
+        let mut words = vec![0u64; words_for(bytes.len())];
+        words_as_bytes_mut(&mut words)[..bytes.len()].copy_from_slice(&bytes);
+        Ok(SnapshotBytes(Source::Buffered {
+            words,
+            len: bytes.len(),
+        }))
+    }
+
+    /// The snapshot's bytes.
+    pub fn as_slice(&self) -> &[u8] {
+        match &self.0 {
+            Source::Buffered { words, len } => &words_as_bytes(words)[..*len],
+            #[cfg(all(unix, target_pointer_width = "64"))]
+            Source::Mapped(map) => map.bytes(),
+        }
+    }
+
+    /// Hand the parsed `payload` range to an arena. A buffered source
+    /// moves the payload words to the front of its buffer and drops the
+    /// rest, so no second payload-sized allocation is made and no
+    /// envelope byte stays in memory; a mapped source becomes a window
+    /// of the mapping.
+    fn into_backing(self, payload: std::ops::Range<usize>) -> Backing {
+        match self.0 {
+            Source::Buffered { mut words, .. } => {
+                // The parser guarantees a SET_ALIGN-ed start and a whole
+                // number of words.
+                let (start, n) = (payload.start / 8, payload.len() / 8);
+                words.copy_within(start..start + n, 0);
+                words.truncate(n);
+                Backing::Heap(words.into_boxed_slice())
+            }
+            #[cfg(all(unix, target_pointer_width = "64"))]
+            Source::Mapped(map) => Backing::Mmap {
+                map: Arc::new(map),
+                offset: payload.start,
+                len: payload.len(),
+            },
+        }
+    }
+}
+
+/// What [`parse_envelope`] validated: everything but the payload bytes.
+struct Envelope {
+    params: ParamsHandle,
+    dir: Box<[SetDir]>,
+    /// The directory/payload checksum the header records.
+    checksum: u64,
+    /// Where the payload lies in the parsed bytes.
+    payload: std::ops::Range<usize>,
+}
+
+/// Parse the arena envelope at byte `at` of `bytes` (see
+/// [`BatmapArena::from_snapshot_bytes`]). Reads nothing past the
+/// directory unless the directory is rejected: then the
+/// directory/payload checksum decides whether that is bit-rot
+/// ([`SnapshotError::Corrupted`]) or a malformed writer
+/// ([`SnapshotError::Format`]), so a good mapped open stays
+/// O(header + directory) and every load path classifies a damaged
+/// directory alike.
+fn parse_envelope(bytes: &[u8], at: usize) -> Result<Envelope, SnapshotError> {
+    let bad = |what: &str| SnapshotError::Format(what.to_string());
+    if !at.is_multiple_of(SET_ALIGN) {
+        return Err(bad("embedded arena envelope must start 64-byte aligned"));
+    }
+    if snapshot_section(bytes, at, 8, "magic")? != SNAPSHOT_MAGIC {
+        return Err(bad("not a batmap arena snapshot (bad magic)"));
+    }
+    let version = snapshot_le(bytes, at + 8, 4, "version")?;
+    if version != u64::from(SNAPSHOT_VERSION) {
+        return Err(SnapshotError::Format(format!(
+            "unsupported snapshot version {version} (this build reads {SNAPSHOT_VERSION})"
+        )));
+    }
+    let header_len = snapshot_le(bytes, at + 12, 4, "header length")? as usize;
+    if header_len > 1 << 20 {
+        return Err(bad("implausible header length"));
+    }
+    let header_checksum = snapshot_le(bytes, at + 16, 8, "header checksum")?;
+    let header = parse_snapshot_header(
+        snapshot_section(bytes, at + 24, header_len, "header")?,
+        header_checksum,
+    )?;
+    let params: ParamsHandle = Arc::new(header.params);
+    let n_sets = usize::try_from(header.n_sets).map_err(|_| bad("set count overflow"))?;
+    let payload_bytes =
+        usize::try_from(header.payload_bytes).map_err(|_| bad("payload size overflow"))?;
+    if payload_bytes % 8 != 0 {
+        return Err(bad("payload not a whole number of words"));
+    }
+    // The header is not yet checksummed against the data, so every size
+    // it claims is checked against the bytes present before anything is
+    // sized from it: a lying header reads as truncated, never as a huge
+    // allocation.
+    let dir_len = n_sets
+        .checked_mul(32)
+        .ok_or_else(|| bad("directory overflow"))?;
+    let dir_at = at + 24 + header_len;
+    let dir_bytes = snapshot_section(bytes, dir_at, dir_len, "directory")?;
+    let pad = payload_pad(header_len, dir_len);
+    check_pad_zero(snapshot_section(
+        bytes,
+        dir_at + dir_len,
+        pad,
+        "alignment padding",
+    )?)?;
+    let payload_at = dir_at + dir_len + pad;
+    let payload = snapshot_section(bytes, payload_at, payload_bytes, "payload")?;
+    let dir = parse_dir(&params, dir_bytes, payload_bytes).map_err(|e| {
+        if dir_payload_checksum(dir_bytes, payload) != header.checksum {
+            SnapshotError::Corrupted("directory/payload checksum mismatch".to_string())
+        } else {
+            e
+        }
+    })?;
+    Ok(Envelope {
+        params,
+        dir,
+        checksum: header.checksum,
+        payload: payload_at..payload_at + payload_bytes,
+    })
 }
 
 /// Encode the directory as it appears in the snapshot envelope (four
@@ -960,8 +968,8 @@ fn payload_pad(header_len: usize, dir_len: usize) -> usize {
 /// Alignment padding is written as zeros and sits outside both
 /// checksums, so the readers enforce it directly — every byte of a
 /// snapshot is validated by exactly one mechanism, and a bit-flip in
-/// the pad cannot parse (shared by the buffered and mapped readers,
-/// and by the corpus envelope in `pairminer`).
+/// the pad cannot parse (shared by the arena parser and the corpus
+/// envelope in `pairminer`).
 pub fn check_pad_zero(pad: &[u8]) -> Result<(), SnapshotError> {
     if pad.iter().any(|&b| b != 0) {
         return Err(SnapshotError::Corrupted(
@@ -972,8 +980,7 @@ pub fn check_pad_zero(pad: &[u8]) -> Result<(), SnapshotError> {
 }
 
 /// Checksum-check and parse the JSON snapshot header, enforcing the
-/// self-consistency invariants every load path relies on (shared by
-/// the buffered and mapped readers).
+/// self-consistency invariants every load path relies on.
 fn parse_snapshot_header(
     header_bytes: &[u8],
     header_checksum: u64,
@@ -1002,10 +1009,10 @@ fn parse_snapshot_header(
     Ok(header)
 }
 
-/// Validate and decode the snapshot directory against `payload_bytes`
-/// (shared by the buffered and mapped readers): known representation
-/// tags, ranges powers of two ≥ `r₀`, plausible cardinalities, aligned
-/// non-overlapping monotone offsets, windows in bounds. This is the
+/// Validate and decode the snapshot directory against `payload_bytes`:
+/// known representation tags, ranges powers of two ≥ `r₀`, plausible
+/// cardinalities, aligned non-overlapping monotone offsets, windows in
+/// bounds. This is the
 /// structural check that makes even an *unverified* mapped arena
 /// memory-safe to query — every window a view can hand out lies inside
 /// the payload.
@@ -1078,10 +1085,11 @@ fn parse_dir(
     Ok(dir.into_boxed_slice())
 }
 
-/// Bounds-checked window of a mapped snapshot, with the same
-/// truncation classification [`read_section`] gives streams.
-#[cfg(all(unix, target_pointer_width = "64"))]
-fn mapped_section<'a>(
+/// The `len` bytes of a snapshot at `at`. Bytes that end early are the
+/// signature of a torn write, so a short `bytes` is
+/// [`SnapshotError::Truncated`] naming the section cut short (shared
+/// by the arena parser and the corpus envelope in `pairminer`).
+pub fn snapshot_section<'a>(
     bytes: &'a [u8],
     at: usize,
     len: usize,
@@ -1092,6 +1100,28 @@ fn mapped_section<'a>(
         .ok_or_else(|| {
             SnapshotError::Truncated(format!("{section} cut short ({len} bytes expected)"))
         })
+}
+
+/// The little-endian integer in the `len` bytes at `at` of a snapshot,
+/// classified like [`snapshot_section`] when they are cut short.
+///
+/// # Panics
+/// Panics if `len > 8` (the fields it reads are fixed-width).
+pub fn snapshot_le(
+    bytes: &[u8],
+    at: usize,
+    len: usize,
+    section: &str,
+) -> Result<u64, SnapshotError> {
+    let mut le = [0u8; 8];
+    le[..len].copy_from_slice(snapshot_section(bytes, at, len, section)?);
+    Ok(u64::from_le_bytes(le))
+}
+
+/// FNV-1a over the payload, then the directory: the checksum the
+/// header records for both.
+fn dir_payload_checksum(dir_bytes: &[u8], payload: &[u8]) -> u64 {
+    fnv1a(dir_bytes, fnv1a(payload, FNV_OFFSET))
 }
 
 impl MemoryFootprint for BatmapArena {
@@ -1453,23 +1483,6 @@ where
     result
 }
 
-/// `read_exact` that classifies an unexpected EOF as
-/// [`SnapshotError::Truncated`] naming the section that was cut short
-/// — the signature of a torn write — while other I/O failures stay
-/// [`SnapshotError::Io`].
-fn read_section<R: Read>(r: &mut R, buf: &mut [u8], section: &str) -> Result<(), SnapshotError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            SnapshotError::Truncated(format!(
-                "{section} cut short ({} bytes expected)",
-                buf.len()
-            ))
-        } else {
-            SnapshotError::Io(e)
-        }
-    })
-}
-
 /// FNV-1a folded over `bytes`, seeded with `seed` (chain calls to hash
 /// multiple regions).
 fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
@@ -1606,6 +1619,8 @@ mod tests {
         let loaded = BatmapArena::read_from(&mut buf.as_slice()).unwrap();
         assert_eq!(loaded.len(), arena.len());
         assert_eq!(loaded.params().fingerprint(), arena.params().fingerprint());
+        // The load keeps exactly the payload: no envelope bytes, no slack.
+        assert_eq!(loaded.heap_bytes(), arena.heap_bytes());
         for i in 0..arena.len() {
             assert_eq!(loaded.get(i).as_bytes(), arena.get(i).as_bytes());
             assert_eq!(loaded.get(i).len(), arena.get(i).len());
@@ -1899,6 +1914,19 @@ mod tests {
     }
 
     #[test]
+    fn from_snapshot_bytes_rejects_misaligned_embedding_offsets() {
+        let p = params(20_000);
+        let (_, arena) = build_arena(&p);
+        let mut buf = vec![0u8; 8];
+        arena.write_to(&mut buf).unwrap();
+        let bytes = SnapshotBytes::read(&mut buf.as_slice()).unwrap();
+        match BatmapArena::from_snapshot_bytes(bytes, 8) {
+            Err(SnapshotError::Format(msg)) => assert!(msg.contains("aligned"), "{msg}"),
+            other => panic!("expected alignment rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn snapshot_load_knob_parses_resolves_and_displays() {
         for (name, load) in [
             ("auto", SnapshotLoad::Auto),
@@ -1954,7 +1982,7 @@ mod tests {
         fn mmap_load_is_byte_identical_to_buffered() {
             let (owned, arena, path) = snapshot_on_disk("roundtrip");
             let buffered = BatmapArena::read_from_file(&path).unwrap();
-            let mapped = BatmapArena::open_mmap_file(&path).unwrap();
+            let mapped = BatmapArena::read_from_file_with(&path, SnapshotLoad::Mmap).unwrap();
             assert!(!buffered.verification_pending());
             assert!(mapped.verification_pending());
             mapped.verify().unwrap();
@@ -1988,7 +2016,7 @@ mod tests {
             // The buffered path refuses outright; the mapped path opens
             // (structure is intact) but reports the damage on verify.
             assert!(BatmapArena::read_from_file(&path).is_err());
-            let mapped = BatmapArena::open_mmap_file(&path).unwrap();
+            let mapped = BatmapArena::read_from_file_with(&path, SnapshotLoad::Mmap).unwrap();
             assert!(mapped.verification_pending());
             match mapped.verify() {
                 Err(SnapshotError::Corrupted(msg)) => {
@@ -2007,7 +2035,7 @@ mod tests {
             // Truncated payload: caught at open (window bounds check),
             // no verify() needed.
             std::fs::write(&path, &bytes[..bytes.len() - 16]).unwrap();
-            match BatmapArena::open_mmap_file(&path) {
+            match BatmapArena::read_from_file_with(&path, SnapshotLoad::Mmap) {
                 Err(SnapshotError::Truncated(msg)) => {
                     assert!(msg.contains("payload"), "{msg}")
                 }
@@ -2018,11 +2046,11 @@ mod tests {
             let mut bad = bytes.clone();
             bad[30] ^= 0x01;
             std::fs::write(&path, &bad).unwrap();
-            assert!(BatmapArena::open_mmap_file(&path).is_err());
+            assert!(BatmapArena::read_from_file_with(&path, SnapshotLoad::Mmap).is_err());
 
             // Pristine bytes still map fine.
             std::fs::write(&path, &bytes).unwrap();
-            assert!(BatmapArena::open_mmap_file(&path).is_ok());
+            assert!(BatmapArena::read_from_file_with(&path, SnapshotLoad::Mmap).is_ok());
             cleanup(&path);
         }
 
@@ -2034,19 +2062,6 @@ mod tests {
             let mapped = BatmapArena::read_from_file_with(&path, SnapshotLoad::Mmap).unwrap();
             assert!(mapped.verification_pending());
             assert_eq!(mapped.backing_bytes(), buffered.backing_bytes());
-            cleanup(&path);
-        }
-
-        #[test]
-        fn from_mapped_rejects_misaligned_embedding_offsets() {
-            let (_, _, path) = snapshot_on_disk("misaligned");
-            let map = Arc::new(crate::mmap::MmapFile::open(&path).unwrap());
-            match BatmapArena::from_mapped(map, 8) {
-                Err(SnapshotError::Format(msg)) => {
-                    assert!(msg.contains("aligned"), "{msg}")
-                }
-                other => panic!("expected alignment rejection, got {other:?}"),
-            }
             cleanup(&path);
         }
     }

@@ -196,7 +196,9 @@ pub mod swar;
 pub mod uncompressed;
 pub mod update;
 
-pub use arena::{ArenaBuilder, ArenaStage, BatmapArena, BatmapRef, SetSpec, SnapshotLoad};
+pub use arena::{
+    ArenaBuilder, ArenaStage, BatmapArena, BatmapRef, SetSpec, SnapshotBytes, SnapshotLoad,
+};
 pub use batmap::{AsSlots, Batmap};
 pub use builder::{ArenaSetOutcome, BatmapBuilder, BuildOutcome, InsertOutcome, InsertStats};
 pub use collection::BatmapCollection;

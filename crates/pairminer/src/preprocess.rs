@@ -34,9 +34,11 @@
 //! and served by a later process via [`Preprocessed::read_snapshot`]
 //! without rebuilding (see `miner::mine_preprocessed`).
 
+use batmap::arena::{snapshot_le, snapshot_section};
 use batmap::{
     ArenaSetOutcome, BatmapArena, BatmapBuilder, BatmapParams, BatmapRef, EngineOptions,
-    ParamsHandle, ReprPolicy, SetRepr, SetSpec, SetView, SnapshotError, SnapshotLoad,
+    ParamsHandle, ReprPolicy, SetRepr, SetSpec, SetView, SnapshotBytes, SnapshotError,
+    SnapshotLoad,
 };
 use fim::VerticalDb;
 use hpcutil::MemoryFootprint;
@@ -58,8 +60,10 @@ pub const PRE_SNAPSHOT_MAGIC: [u8; 8] = *b"BMPREPRO";
 /// Preprocessed-corpus snapshot format version. v2 zero-pads after the
 /// JSON side tables so the embedded arena envelope starts on a
 /// [`batmap::arena::SET_ALIGN`] boundary of the file — the alignment
-/// [`BatmapArena::from_mapped`] requires, making the whole corpus
-/// mmap-servable without copying the payload.
+/// [`BatmapArena::from_snapshot_bytes`] requires of an embedded arena,
+/// making the whole corpus mmap-servable without copying the payload.
+/// Like the arena's, the envelope has one parser for every load path;
+/// a buffered load is that parse plus an eager verify.
 pub const PRE_SNAPSHOT_VERSION: u32 = 2;
 
 /// Output of preprocessing.
@@ -145,8 +149,8 @@ impl Preprocessed {
         w.write_all(header_json.as_bytes())?;
         // v2: pad to the next SET_ALIGN boundary so the embedded arena
         // envelope — and through its own padding, the payload — lands
-        // 64-byte aligned in the file, as `BatmapArena::from_mapped`
-        // requires on the mmap serving path.
+        // 64-byte aligned in the file, as `BatmapArena::from_snapshot_bytes`
+        // requires of an embedded arena.
         let pad = side_table_pad(header_json.len());
         w.write_all(&[0u8; batmap::arena::SET_ALIGN][..pad])?;
         self.arena.write_to(w)
@@ -162,19 +166,19 @@ impl Preprocessed {
     }
 
     /// Load a corpus snapshot file written by
-    /// [`Preprocessed::write_snapshot_file`] (buffered
-    /// [`Preprocessed::read_snapshot`]).
+    /// [`Preprocessed::write_snapshot_file`]: a buffered load, verified
+    /// before it returns.
     pub fn read_snapshot_file<P: AsRef<std::path::Path>>(path: P) -> Result<Self, SnapshotError> {
-        let file = std::fs::File::open(path)?;
-        Self::read_snapshot(&mut std::io::BufReader::new(file))
+        Self::read_snapshot_file_with(path, SnapshotLoad::Buffered)
     }
 
     /// Load a corpus snapshot file through an explicit
-    /// [`SnapshotLoad`] path — the serving stack's entry point.
+    /// [`SnapshotLoad`] path — the serving stack's entry point. Both
+    /// paths run the same parser over the file's bytes:
     ///
     /// * [`SnapshotLoad::Buffered`] (and what `Auto` resolves to by
-    ///   default) is [`Preprocessed::read_snapshot_file`]: the whole
-    ///   payload is read and checksummed before returning.
+    ///   default) reads the file once and checksums the arena payload
+    ///   before returning.
     /// * [`SnapshotLoad::Mmap`] maps the file read-only: side tables
     ///   and arena header/directory are validated eagerly, but the
     ///   payload is never touched — pages fault in on first use, and
@@ -185,60 +189,7 @@ impl Preprocessed {
         path: P,
         load: SnapshotLoad,
     ) -> Result<Self, SnapshotError> {
-        match load.resolve() {
-            #[cfg(all(unix, target_pointer_width = "64"))]
-            SnapshotLoad::Mmap => Self::open_snapshot_mapped(path),
-            _ => Self::read_snapshot_file(path),
-        }
-    }
-
-    /// The mmap corpus open behind [`Preprocessed::read_snapshot_file_with`].
-    /// Validates the side tables (checksummed JSON) and the embedded
-    /// arena's header and directory from the mapping; the arena payload
-    /// stays untouched until queried (or [`Preprocessed::verify`]-ed).
-    #[cfg(all(unix, target_pointer_width = "64"))]
-    fn open_snapshot_mapped<P: AsRef<std::path::Path>>(path: P) -> Result<Self, SnapshotError> {
-        use std::sync::Arc as StdArc;
-        let bad = |what: &str| SnapshotError::Format(what.to_string());
-        let cut = |what: &str| SnapshotError::Truncated(format!("corpus {what} cut short"));
-        let map = StdArc::new(batmap::mmap::MmapFile::open(path.as_ref())?);
-        let bytes = map.bytes();
-        if bytes.len() < 24 {
-            return Err(cut("envelope"));
-        }
-        if bytes[..8] != PRE_SNAPSHOT_MAGIC {
-            return Err(bad("not a preprocessed-corpus snapshot (bad magic)"));
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != PRE_SNAPSHOT_VERSION {
-            return Err(SnapshotError::Format(format!(
-                "unsupported corpus snapshot version {version}"
-            )));
-        }
-        let header_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let header_checksum = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        let header_bytes = bytes
-            .get(24..24 + header_len)
-            .ok_or_else(|| cut("side tables"))?;
-        if batmap::arena::snapshot_checksum(header_bytes) != header_checksum {
-            return Err(SnapshotError::Corrupted(
-                "corpus side-table checksum mismatch".to_string(),
-            ));
-        }
-        let header: PreSnapshotHeader = std::str::from_utf8(header_bytes)
-            .ok()
-            .and_then(|s| serde_json::from_str(s).ok())
-            .ok_or_else(|| bad("corpus header does not parse"))?;
-        // v2 wrote zero padding here so this offset is SET_ALIGN-ed.
-        let pad = side_table_pad(header_len);
-        batmap::arena::check_pad_zero(
-            bytes
-                .get(24 + header_len..24 + header_len + pad)
-                .ok_or_else(|| cut("alignment padding"))?,
-        )?;
-        let arena_at = 24 + header_len + pad;
-        let (arena, _end) = BatmapArena::from_mapped(map, arena_at)?;
-        Self::from_parts(header, arena)
+        Self::from_snapshot_bytes(SnapshotBytes::open(path.as_ref(), load)?)
     }
 
     /// Whether the arena payload's checksum has been deferred (mmap
@@ -253,76 +204,59 @@ impl Preprocessed {
         self.arena.verify()
     }
 
-    /// Load a corpus persisted by [`Preprocessed::write_snapshot`],
-    /// re-checking the side tables against the embedded arena snapshot
-    /// (which performs its own header/checksum validation).
+    /// Load a corpus persisted by [`Preprocessed::write_snapshot`]:
+    /// read `r` to its end, then parse and verify it as a buffered
+    /// load.
     pub fn read_snapshot<R: Read>(r: &mut R) -> Result<Self, SnapshotError> {
+        Self::from_snapshot_bytes(SnapshotBytes::read(r)?)
+    }
+
+    /// The one corpus-envelope parser: checksummed side tables, their
+    /// zero padding, then the embedded arena snapshot through
+    /// [`BatmapArena::from_snapshot_bytes`], and finally the side
+    /// tables cross-checked against that arena.
+    fn from_snapshot_bytes(bytes: SnapshotBytes) -> Result<Self, SnapshotError> {
         let bad = |what: &str| SnapshotError::Format(what.to_string());
-        // An unexpected EOF inside the fixed envelope is the signature
-        // of a torn write, not a malformed file: classify it
-        // `Truncated` so callers can tell "retry from the previous
-        // snapshot" apart from "this file was never a snapshot".
-        let torn = |what: &str, e: std::io::Error| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                SnapshotError::Truncated(format!("corpus {what} cut short"))
-            } else {
-                SnapshotError::Io(e)
-            }
-        };
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic).map_err(|e| torn("magic", e))?;
-        if magic != PRE_SNAPSHOT_MAGIC {
+        let b = bytes.as_slice();
+        if snapshot_section(b, 0, 8, "corpus magic")? != PRE_SNAPSHOT_MAGIC {
             return Err(bad("not a preprocessed-corpus snapshot (bad magic)"));
         }
-        let mut u32buf = [0u8; 4];
-        r.read_exact(&mut u32buf).map_err(|e| torn("version", e))?;
-        let version = u32::from_le_bytes(u32buf);
-        if version != PRE_SNAPSHOT_VERSION {
+        let version = snapshot_le(b, 8, 4, "corpus version")?;
+        if version != u64::from(PRE_SNAPSHOT_VERSION) {
             return Err(SnapshotError::Format(format!(
                 "unsupported corpus snapshot version {version}"
             )));
         }
-        r.read_exact(&mut u32buf)
-            .map_err(|e| torn("header length", e))?;
-        let header_len = u32::from_le_bytes(u32buf) as usize;
-        let mut u64buf = [0u8; 8];
-        r.read_exact(&mut u64buf)
-            .map_err(|e| torn("header checksum", e))?;
-        let header_checksum = u64::from_le_bytes(u64buf);
-        // `take`-bounded read: a corrupted length field surfaces as a
-        // truncation error, never as an up-to-4-GiB allocation.
-        let mut header_bytes = Vec::new();
-        r.by_ref()
-            .take(header_len as u64)
-            .read_to_end(&mut header_bytes)?;
-        if header_bytes.len() != header_len {
-            return Err(SnapshotError::Truncated(format!(
-                "corpus side tables end after {} of {header_len} bytes",
-                header_bytes.len()
-            )));
-        }
-        if batmap::arena::snapshot_checksum(&header_bytes) != header_checksum {
+        let header_len = snapshot_le(b, 12, 4, "corpus header length")? as usize;
+        let header_checksum = snapshot_le(b, 16, 8, "corpus header checksum")?;
+        // The side tables feed array indexing on the serving path, so
+        // they are checksummed before they are parsed.
+        let header_bytes = snapshot_section(b, 24, header_len, "corpus side tables")?;
+        if batmap::arena::snapshot_checksum(header_bytes) != header_checksum {
             return Err(SnapshotError::Corrupted(
                 "corpus side-table checksum mismatch".to_string(),
             ));
         }
-        let header: PreSnapshotHeader = std::str::from_utf8(&header_bytes)
+        let header: PreSnapshotHeader = std::str::from_utf8(header_bytes)
             .ok()
             .and_then(|s| serde_json::from_str(s).ok())
             .ok_or_else(|| bad("corpus header does not parse"))?;
         // v2 alignment padding (zeros, excluded from the checksum and
-        // validated as such — bit-rot in the pad must not parse).
+        // validated as such — bit-rot in the pad must not parse) puts
+        // the arena envelope on a SET_ALIGN boundary of the file.
         let pad = side_table_pad(header_len);
-        let mut padbuf = [0u8; batmap::arena::SET_ALIGN];
-        r.read_exact(&mut padbuf[..pad])
-            .map_err(|e| torn("alignment padding", e))?;
-        batmap::arena::check_pad_zero(&padbuf[..pad])?;
-        let arena = BatmapArena::read_from(r)?;
+        batmap::arena::check_pad_zero(snapshot_section(
+            b,
+            24 + header_len,
+            pad,
+            "corpus alignment padding",
+        )?)?;
+        let arena = BatmapArena::from_snapshot_bytes(bytes, 24 + header_len + pad)?;
         Self::from_parts(header, arena)
     }
 
     /// Cross-validate freshly-loaded side tables against their arena
-    /// and assemble the corpus — shared tail of every load path.
+    /// and assemble the corpus (the last step of the corpus parser).
     fn from_parts(header: PreSnapshotHeader, arena: BatmapArena) -> Result<Self, SnapshotError> {
         let bad = |what: &str| SnapshotError::Format(what.to_string());
         let n = header.n_items as usize;
@@ -692,6 +626,8 @@ mod tests {
         assert_eq!(loaded.failed, pre.failed);
         assert_eq!(loaded.stats, pre.stats);
         assert_eq!(loaded.params.fingerprint(), pre.params.fingerprint());
+        // The load keeps exactly the arena payload: no envelope bytes.
+        assert_eq!(loaded.arena.heap_bytes(), pre.arena.heap_bytes());
         for s in 0..pre.padded_items() {
             assert_eq!(loaded.batmap(s).as_bytes(), pre.batmap(s).as_bytes());
             assert_eq!(loaded.batmap(s).len(), pre.batmap(s).len());

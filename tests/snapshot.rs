@@ -6,7 +6,7 @@
 //! `mine_preprocessed`) — the storage layer and the persistence format
 //! must be invisible to every mining result.
 
-use batmap::{Parallelism, ReprPolicy};
+use batmap::{Parallelism, ReprPolicy, SnapshotError};
 use fim::{TransactionDb, VerticalDb};
 use gpu_sim::DeviceSpec;
 use pairminer::{
@@ -159,51 +159,121 @@ fn tiny_snapshot_bytes() -> Vec<u8> {
     buf
 }
 
+/// The mapped half of the every-byte oracles: `bytes` written to
+/// `path`, opened through `SnapshotLoad::Mmap` and then `verify()`-ed
+/// (where a mapped load reports payload damage) must fail with the
+/// same `SnapshotError` variant as the buffered load did.
+#[cfg(all(unix, target_pointer_width = "64"))]
+fn assert_mapped_fails_alike(
+    path: &std::path::Path,
+    bytes: &[u8],
+    buffered: &SnapshotError,
+    what: &str,
+) {
+    std::fs::write(path, bytes).unwrap();
+    match Preprocessed::read_snapshot_file_with(path, batmap::SnapshotLoad::Mmap)
+        .and_then(|pre| pre.verify())
+    {
+        Ok(()) => panic!("{what}: the mapped load parsed"),
+        Err(e) => assert_eq!(
+            std::mem::discriminant(&e),
+            std::mem::discriminant(buffered),
+            "{what}: mapped load said {e}, buffered load said {buffered}"
+        ),
+    }
+}
+
+/// A scratch file for the mapped half of one oracle.
+fn probe_path(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("batmap-snapprobe-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join("probe.snap")
+}
+
 /// A write torn at *any* byte — mid-magic, mid-header, mid-directory,
 /// mid-payload, mid-side-tables — must come back as the torn-write
 /// variant of the taxonomy ([`batmap::SnapshotError::is_torn`]), never
-/// a panic, never a silent success, and never be misread as bit-rot.
+/// a panic, never a silent success, and never be misread as bit-rot;
+/// the buffered and the mapped load alike.
 #[test]
 fn truncation_at_every_byte_reads_as_torn() {
     let bytes = tiny_snapshot_bytes();
+    let path = probe_path("truncate");
     for cut in 0..bytes.len() {
         match Preprocessed::read_snapshot(&mut &bytes[..cut]) {
             Ok(_) => panic!("truncation at byte {cut}/{} parsed", bytes.len()),
-            Err(e) => assert!(
-                e.is_torn(),
-                "truncation at byte {cut}/{} must read as torn, got: {e}",
-                bytes.len()
-            ),
+            Err(e) => {
+                assert!(
+                    e.is_torn(),
+                    "truncation at byte {cut}/{} must read as torn, got: {e}",
+                    bytes.len()
+                );
+                #[cfg(all(unix, target_pointer_width = "64"))]
+                assert_mapped_fails_alike(&path, &bytes[..cut], &e, &format!("cut at {cut}"));
+            }
         }
     }
     // And the untouched bytes still load, so the loop above proved
     // something about truncation, not about a broken fixture.
     Preprocessed::read_snapshot(&mut bytes.as_slice()).unwrap();
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+}
+
+/// The byte ranges of `bytes` (a corpus snapshot) that a checksum or a
+/// zero-pad check covers: the side-table JSON and its pad, then the
+/// embedded arena's header JSON, directory, pad and payload.
+fn checksummed_sections(bytes: &[u8]) -> Vec<(&'static str, std::ops::Range<usize>)> {
+    let le_u32 = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let align = |at: usize| at.next_multiple_of(batmap::arena::SET_ALIGN);
+    let loaded = Preprocessed::read_snapshot(&mut &bytes[..]).unwrap();
+    let side_end = 24 + le_u32(12);
+    let arena_at = align(side_end);
+    let dir_at = arena_at + 24 + le_u32(arena_at + 12);
+    let dir_end = dir_at + 32 * loaded.arena.len();
+    let payload_at = align(dir_end);
+    assert_eq!(payload_at + loaded.arena.backing_bytes(), bytes.len());
+    vec![
+        ("side-table JSON", 24..side_end),
+        ("side-table pad", side_end..arena_at),
+        ("arena header JSON", arena_at + 24..dir_at),
+        ("directory", dir_at..dir_end),
+        ("arena pad", dir_end..payload_at),
+        ("payload", payload_at..bytes.len()),
+    ]
 }
 
 /// Bit-rot: flipping the low bit of any single byte must fail the
-/// read with a typed error. Checksummed sections must report
-/// `Corrupted`; the magic/version envelope must report a format
+/// read with a typed error, the same one on the buffered and the
+/// mapped load. Every byte a checksum or a zero-pad check covers must
+/// report `Corrupted`; the magic/version envelope must report a format
 /// error; nothing may parse successfully.
 #[test]
 fn single_bit_corruption_never_parses() {
     let bytes = tiny_snapshot_bytes();
-    let mut saw_corrupted = false;
+    let sections = checksummed_sections(&bytes);
+    let path = probe_path("bitflip");
     let mut saw_format = false;
     for i in 0..bytes.len() {
         let mut rotten = bytes.clone();
         rotten[i] ^= 1;
-        match Preprocessed::read_snapshot(&mut rotten.as_slice()) {
+        let e = match Preprocessed::read_snapshot(&mut rotten.as_slice()) {
             Ok(_) => panic!("bit flip at byte {i} parsed successfully"),
-            Err(batmap::SnapshotError::Corrupted(_)) => saw_corrupted = true,
-            Err(batmap::SnapshotError::Format(_)) => saw_format = true,
-            // Length-field flips legitimately look like truncation;
-            // Io cannot happen from an in-memory slice.
-            Err(_) => {}
+            Err(e) => e,
+        };
+        if let Some((section, _)) = sections.iter().find(|(_, r)| r.contains(&i)) {
+            assert!(
+                matches!(e, SnapshotError::Corrupted(_)),
+                "bit flip at byte {i} ({section}) must read as corrupted, got: {e}"
+            );
         }
+        // Length-field flips legitimately look like truncation; Io
+        // cannot happen from an in-memory slice.
+        saw_format |= matches!(e, SnapshotError::Format(_));
+        #[cfg(all(unix, target_pointer_width = "64"))]
+        assert_mapped_fails_alike(&path, &rotten, &e, &format!("bit flip at byte {i}"));
     }
-    assert!(saw_corrupted, "checksums must catch payload bit-rot");
     assert!(saw_format, "the magic/version envelope must be validated");
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
 /// The atomic write path: a failure while filling the temp file must
