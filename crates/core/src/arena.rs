@@ -19,8 +19,8 @@
 //! Two ways to build one:
 //!
 //! * [`ArenaBuilder`] — push existing sets (owned or views) one at a
-//!   time; the arena copies their bytes. The convenience path
-//!   ([`crate::BatmapCollection`] uses it).
+//!   time; the arena copies their bytes. The convenience path for
+//!   small corpora, tests and the README examples.
 //! * [`BatmapArena::with_ranges`] — reserve the full layout up front
 //!   (ranges are deterministic from set sizes, so preprocessing knows
 //!   them before building) and cuckoo-build **in place** through

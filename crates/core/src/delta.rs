@@ -32,21 +32,24 @@
 //! `|M| = |B| − |R| + |D|` and membership decided by one delta probe
 //! before falling back to the base.
 //!
-//! ## Exact layered pair counts
+//! ## Exact pair counts
 //!
-//! [`layered_pair_count`] turns a *base×base* intersection count `raw =
-//! |B_a ∩ B_b|` — produced by the SIMD sweeps over the immutable arena,
-//! which is the whole point of layering — into the exact live count
-//! `|M_a ∩ M_b|` by inclusion–exclusion over the (small) deltas:
+//! [`exact_pair_count`] turns a stored×stored sweep count into the exact
+//! live count. A cuckoo insertion that fails after `MaxLoop` leaves its
+//! element out of the batmap, so a base set is `B = A' ⊎ F` (stored ⊎
+//! failed) while the sweeps see only `A'` (§III-C). From
+//! `raw = |A'_a ∩ A'_b|`, failure terms first, then inclusion–exclusion
+//! over the deltas:
 //!
 //! ```text
-//! |M_a ∩ M_b| = raw − |B_a ∩ R_b| + |B_a ∩ D_b|
+//! |B_a ∩ B_b| = raw + |F_a ∩ A'_b| + |A'_a ∩ F_b| + |F_a ∩ F_b|
+//! |M_a ∩ M_b| = |B_a ∩ B_b| − |B_a ∩ R_b| + |B_a ∩ D_b|
 //!                   − Σ_{x∈R_a} [x ∈ M_b] + Σ_{x∈D_a} [x ∈ M_b]
 //! ```
 //!
-//! Every sum iterates a delta and probes the other side in O(1)-ish
-//! (batmap/bitmap probe or binary search), so the correction costs
-//! O(|deltas|), not O(|sets|).
+//! Every sum iterates a failure list or a delta and probes the other
+//! side in O(1)-ish (batmap/bitmap probe or binary search), so the
+//! correction costs O(|failures| + |deltas|), not O(|sets|).
 
 use crate::repr::{ReprPolicy, SetRepr};
 use crate::{Batmap, ParamsHandle};
@@ -324,48 +327,58 @@ impl DeltaRegion {
     }
 }
 
-/// Exact live pair count from a base-only count plus two deltas (see
-/// the module docs for the derivation). `raw` must be the exact count
-/// of the *base* sets `|B_a ∩ B_b|` — stored payloads with the
-/// failed-insertion corrections already applied — and `base_a` /
-/// `base_b` must answer membership against those same base sets.
-pub fn layered_pair_count(
-    raw: u64,
-    da: Option<&DeltaSet>,
-    db: Option<&DeltaSet>,
-    base_a: impl Fn(u32) -> bool,
-    base_b: impl Fn(u32) -> bool,
-) -> u64 {
-    let mut total = raw as i64;
-    // `x ∈ M_b = (B_b \ R_b) ∪ D_b`, probing the delta before the base.
-    let live_b = |x: u32| -> bool {
-        if let Some(d) = db {
-            if d.adds_contain(x) {
-                return true;
-            }
-            if d.removes_contain(x) {
-                return false;
-            }
-        }
-        base_b(x)
-    };
-    if let Some(d) = db {
-        for &x in d.removes_elements() {
-            total -= base_a(x) as i64;
-        }
-        for x in d.adds_elements() {
-            total += base_a(x) as i64;
+/// One operand of [`exact_pair_count`]: a base set `B = A' ⊎ F`
+/// (stored ⊎ failed) and the live delta over it.
+pub struct PairSide<'a, S> {
+    /// Membership in the stored payload `A'`.
+    pub stored: S,
+    /// The failed insertions `F`, disjoint from `A'`: one set's run of a
+    /// failure list of `(set, element)` entries sorted by both.
+    pub failed: &'a [(u32, u32)],
+    /// The live delta over `B`, if any.
+    pub delta: Option<&'a DeltaSet>,
+}
+
+impl<S: Fn(u32) -> bool> PairSide<'_, S> {
+    /// Base membership: `x ∈ A' ⊎ F`.
+    pub fn in_base(&self, x: u32) -> bool {
+        (self.stored)(x) || self.failed.binary_search_by_key(&x, |&(_, e)| e).is_ok()
+    }
+
+    /// Live membership: `x ∈ M = (B \ R) ∪ D`, the delta decides first.
+    fn in_live(&self, x: u32) -> bool {
+        match self.delta {
+            Some(d) if d.adds_contain(x) => true,
+            Some(d) if d.removes_contain(x) => false,
+            _ => self.in_base(x),
         }
     }
-    if let Some(d) = da {
-        for &x in d.removes_elements() {
-            total -= live_b(x) as i64;
-        }
-        for x in d.adds_elements() {
-            total += live_b(x) as i64;
-        }
+}
+
+/// Exact live pair count `|M_a ∩ M_b|` from the raw stored×stored count
+/// `raw = |A'_a ∩ A'_b|` (see the module docs for the derivation). The
+/// two sides may describe the same set: the terms then add up to `|M|`.
+pub fn exact_pair_count<A, B>(raw: u64, a: &PairSide<'_, A>, b: &PairSide<'_, B>) -> u64
+where
+    A: Fn(u32) -> bool,
+    B: Fn(u32) -> bool,
+{
+    fn hits(xs: impl Iterator<Item = u32>, f: impl Fn(u32) -> bool) -> i64 {
+        xs.filter(|&x| f(x)).count() as i64
     }
-    debug_assert!(total >= 0, "layered correction went negative");
+    // |F_a ∩ (A'_b ⊎ F_b)| + |A'_a ∩ F_b|
+    let mut total = raw as i64
+        + hits(a.failed.iter().map(|f| f.1), |x| b.in_base(x))
+        + hits(b.failed.iter().map(|f| f.1), &a.stored);
+    if let Some(d) = b.delta {
+        total += hits(d.adds_elements().into_iter(), |x| a.in_base(x));
+        total -= hits(d.removes_elements().iter().copied(), |x| a.in_base(x));
+    }
+    if let Some(d) = a.delta {
+        total += hits(d.adds_elements().into_iter(), |x| b.in_live(x));
+        total -= hits(d.removes_elements().iter().copied(), |x| b.in_live(x));
+    }
+    debug_assert!(total >= 0, "pair correction went negative");
     total.max(0) as u64
 }
 
@@ -484,9 +497,9 @@ mod tests {
         assert!(region.is_empty());
     }
 
-    /// Brute-force oracle for the layered pair formula across add/remove
+    /// Brute-force oracle for the exact pair formula across add/remove
     /// overlap cases, including shared elements in both deltas and
-    /// self-intersection.
+    /// self-intersection, with no, some, or all base elements failed.
     #[test]
     fn layered_pair_count_matches_brute_force() {
         let p = params(512);
@@ -497,10 +510,24 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for trial in 0..50 {
+        for trial in 0..60 {
             let mut region = DeltaRegion::new(p.clone(), 2);
             let base_a: Vec<u32> = (0..512).filter(|_| next() % 3 == 0).collect();
             let base_b: Vec<u32> = (0..512).filter(|_| next() % 3 == 0).collect();
+            // Split each base into stored ⊎ failed; `failed` mimics one
+            // set's run of a corpus failure list sorted by (set, element).
+            let mut split = |base: &[u32], set: u32| -> (BTreeSet<u32>, Vec<(u32, u32)>) {
+                let (failed, stored): (Vec<u32>, Vec<u32>) =
+                    base.iter().partition(|_| match trial % 3 {
+                        0 => false,
+                        1 => next() % 4 == 0,
+                        _ => true,
+                    });
+                let failed = failed.into_iter().map(|x| (set, x)).collect();
+                (stored.into_iter().collect(), failed)
+            };
+            let (stored_a, failed_a) = split(&base_a, 0);
+            let (stored_b, failed_b) = split(&base_b, 1);
             let mut ma = Model::new(&base_a);
             let mut mb = Model::new(&base_b);
             for _ in 0..200 {
@@ -512,25 +539,31 @@ mod tests {
                     _ => mb.remove(&mut region, 1, x),
                 }
             }
-            let raw = ma.base.intersection(&mb.base).count() as u64;
-            let got = layered_pair_count(
-                raw,
-                region.get(0),
-                region.get(1),
-                |x| ma.base.contains(&x),
-                |x| mb.base.contains(&x),
-            );
+            let side_a = PairSide {
+                stored: |x| stored_a.contains(&x),
+                failed: &failed_a,
+                delta: region.get(0),
+            };
+            let side_b = PairSide {
+                stored: |x| stored_b.contains(&x),
+                failed: &failed_b,
+                delta: region.get(1),
+            };
+            let raw = stored_a.intersection(&stored_b).count() as u64;
             let expect = ma.live.intersection(&mb.live).count() as u64;
-            assert_eq!(got, expect, "trial {trial}");
-            // Self-intersection: |M ∩ M| = |M|.
-            let self_raw = ma.base.len() as u64;
-            let self_got = layered_pair_count(
-                self_raw,
-                region.get(0),
-                region.get(0),
-                |x| ma.base.contains(&x),
-                |x| ma.base.contains(&x),
+            assert_eq!(
+                exact_pair_count(raw, &side_a, &side_b),
+                expect,
+                "trial {trial}"
             );
+            assert_eq!(
+                exact_pair_count(raw, &side_b, &side_a),
+                expect,
+                "trial {trial} swapped"
+            );
+            // Self-intersection: |M ∩ M| = |M|.
+            let self_raw = stored_a.len() as u64;
+            let self_got = exact_pair_count(self_raw, &side_a, &side_a);
             assert_eq!(self_got, ma.live.len() as u64, "trial {trial} self");
         }
     }

@@ -64,9 +64,9 @@
 //! * [`uncompressed`] — the abstract `3×r` reference structure.
 //! * [`update`] — in-place insert/remove with automatic growth.
 //! * [`delta`] — mutable delta sets layered over an immutable corpus
-//!   (the storage half of the live write path), with the
-//!   inclusion–exclusion correction that keeps layered pair counts
-//!   exact.
+//!   (the storage half of the live write path), and
+//!   [`exact_pair_count`], the one correction that turns a stored×stored
+//!   count into an exact answer over failed insertions and live deltas.
 //! * [`analysis`] — empirical validation of the §II-B bounds.
 //! * [`multiway`] — the §V extensions: d-of-(d+1) batmaps (with the
 //!   batched one-vs-many driver the levelwise miner uses) and probe
@@ -173,7 +173,6 @@ pub mod analysis;
 pub mod arena;
 pub mod batmap;
 pub mod builder;
-pub mod collection;
 pub mod delta;
 pub mod error;
 pub mod hash;
@@ -201,8 +200,7 @@ pub use arena::{
 };
 pub use batmap::{AsSlots, Batmap};
 pub use builder::{ArenaSetOutcome, BatmapBuilder, BuildOutcome, InsertOutcome, InsertStats};
-pub use collection::BatmapCollection;
-pub use delta::{layered_pair_count, DeltaRegion, DeltaSet};
+pub use delta::{exact_pair_count, DeltaRegion, DeltaSet, PairSide};
 pub use error::{BatmapError, SnapshotError};
 /// Fault-injection sites (re-export of [`hpcutil::faultpoint`]): arm
 /// named sites with error/panic/delay actions — explicitly or via

@@ -11,11 +11,14 @@
 //! by `insert_mut`, per the hybrid thresholds). Queries merge base and
 //! delta:
 //!
-//! * counts — base count + delta adds − delta removes;
+//! * counts — stored + failed + delta adds − delta removes;
 //! * membership — one delta probe, then the base (stored ∪ failed);
-//! * pair counts — the base×base kernel sweep, then the O(|delta|)
-//!   inclusion–exclusion correction ([`batmap::layered_pair_count`]),
-//!   stacked on the usual failed-insertion corrections.
+//! * pair counts — the stored×stored kernel sweep, then
+//!   [`batmap::exact_pair_count`], which adds the failed-insertion
+//!   terms and the O(|delta|) inclusion–exclusion terms.
+//!
+//! The failed insertions are read straight from the base's one failure
+//! index ([`Preprocessed::failed_for`]); the live corpus keeps no copy.
 //!
 //! Writes are whole transactions: [`LayeredCorpus::insert_txn`] fills a
 //! free transaction slot, [`LayeredCorpus::remove_txn`] clears a live
@@ -66,7 +69,7 @@
 use crate::preprocess::{preprocess_with, Preprocessed};
 use crate::{LevelwiseConfig, LevelwiseMiner, LevelwiseReport};
 use batmap::intersect::count_mixed_with;
-use batmap::{layered_pair_count, DeltaRegion, EngineOptions, SetView};
+use batmap::{exact_pair_count, DeltaRegion, EngineOptions, PairSide, SetView};
 use fim::{TransactionDb, VerticalDb};
 use hpcutil::fault_point;
 use std::collections::VecDeque;
@@ -167,9 +170,6 @@ pub struct LayeredCorpus {
     pre: Preprocessed,
     /// Per-sorted-position deltas over the base payloads.
     delta: DeltaRegion,
-    /// Failed (unstored) base elements per sorted position, ascending.
-    /// Base membership is stored ∪ failed.
-    failed_by_set: Vec<Vec<u32>>,
     /// The live transactions, `txns[tid]` strictly ascending (empty =
     /// free slot). Length is exactly the universe size `m`.
     txns: Vec<Vec<u32>>,
@@ -215,18 +215,10 @@ impl LayeredCorpus {
 
     fn assemble(pre: Preprocessed, txns: Vec<Vec<u32>>, seed: u64) -> Self {
         debug_assert_eq!(txns.len() as u64, pre.params.m());
-        let mut failed_by_set = vec![Vec::new(); pre.n_items as usize];
-        for &(s, tid) in &pre.failed {
-            failed_by_set[s as usize].push(tid);
-        }
-        for list in &mut failed_by_set {
-            list.sort_unstable();
-        }
         let delta = DeltaRegion::new(pre.params.clone(), pre.n_items as usize);
         LayeredCorpus {
             pre,
             delta,
-            failed_by_set,
             txns,
             seed,
             version: 0,
@@ -284,22 +276,27 @@ impl LayeredCorpus {
         self.pre.payload(s)
     }
 
-    /// Failed (unstored) base elements at sorted position `s`.
-    pub fn failed_for(&self, s: usize) -> &[u32] {
-        &self.failed_by_set[s]
-    }
-
     // -- queries -------------------------------------------------------
+
+    /// The set at sorted position `s` as an operand of
+    /// [`exact_pair_count`]: stored payload, failed insertions, delta.
+    fn side(&self, s: usize) -> PairSide<'_, impl Fn(u32) -> bool + '_> {
+        PairSide {
+            stored: move |x| self.pre.payload(s).contains(x),
+            failed: self.pre.failed_for(s),
+            delta: self.delta.get(s),
+        }
+    }
 
     /// Base membership (stored ∪ failed) at sorted position `s`.
     fn base_contains(&self, s: usize, tid: u32) -> bool {
-        self.pre.payload(s).contains(tid) || self.failed_by_set[s].binary_search(&tid).is_ok()
+        self.side(s).in_base(tid)
     }
 
     /// Live support of `item` (base + delta).
     pub fn count(&self, item: u32) -> u64 {
         let s = self.pre.item_to_sorted[item as usize] as usize;
-        let base = self.pre.payload(s).len() + self.failed_by_set[s].len();
+        let base = self.pre.payload(s).len() + self.pre.failed_for(s).len();
         (base as i64 + self.delta.count_delta(s)).max(0) as u64
     }
 
@@ -323,50 +320,22 @@ impl LayeredCorpus {
     }
 
     /// Turn a raw stored-payload count between sorted positions into
-    /// the exact live count: failed-insertion corrections first (the
-    /// base is stored ∪ failed), then the layered delta correction.
-    /// This is what the engine's coalesced one-vs-many sweeps call per
-    /// candidate.
+    /// the exact live count ([`exact_pair_count`]). This is what the
+    /// engine's coalesced one-vs-many sweeps call per candidate.
     pub fn corrected(&self, raw: u64, sa: usize, sb: usize) -> u64 {
-        let fa = &self.failed_by_set[sa];
-        let fb = &self.failed_by_set[sb];
-        let mut base = raw;
-        if !fa.is_empty() {
-            let stored_b = self.pre.payload(sb);
-            base += fa.iter().filter(|&&t| stored_b.contains(t)).count() as u64;
-        }
-        if !fb.is_empty() {
-            let stored_a = self.pre.payload(sa);
-            base += fb.iter().filter(|&&t| stored_a.contains(t)).count() as u64;
-        }
-        if !fa.is_empty() && !fb.is_empty() {
-            base += sorted_intersection_count(fa, fb);
-        }
-        layered_pair_count(
-            base,
-            self.delta.get(sa),
-            self.delta.get(sb),
-            |x| self.base_contains(sa, x),
-            |x| self.base_contains(sb, x),
-        )
+        exact_pair_count(raw, &self.side(sa), &self.side(sb))
     }
 
-    /// Exact live count between an ad-hoc probe (strictly ascending
-    /// elements) and the set at sorted position `sb`, starting from the
-    /// raw stored-payload count.
-    pub fn corrected_adhoc(&self, raw: u64, elements: &[u32], sb: usize) -> u64 {
-        let fb = &self.failed_by_set[sb];
-        let base = raw
-            + fb.iter()
-                .filter(|&&t| elements.binary_search(&t).is_ok())
-                .count() as u64;
-        layered_pair_count(
-            base,
-            None,
-            self.delta.get(sb),
-            |x| elements.binary_search(&x).is_ok(),
-            |x| self.base_contains(sb, x),
-        )
+    /// Exact live count between an ad-hoc probe (a view with no
+    /// failures and no delta) and the set at sorted position `sb`,
+    /// starting from the raw stored-payload count.
+    pub fn corrected_adhoc(&self, raw: u64, probe: &SetView<'_>, sb: usize) -> u64 {
+        let probe = PairSide {
+            stored: |x| probe.contains(x),
+            failed: &[],
+            delta: None,
+        };
+        exact_pair_count(raw, &probe, &self.side(sb))
     }
 
     /// Exact live pair count by original item ids: one kernel sweep
@@ -516,15 +485,7 @@ impl LayeredCorpus {
         fault_point!("ingest.compact.swap", |m: String| Err(IngestError::Fault(
             m
         )));
-        let mut failed_by_set = vec![Vec::new(); built.n_items as usize];
-        for &(s, tid) in &built.failed {
-            failed_by_set[s as usize].push(tid);
-        }
-        for list in &mut failed_by_set {
-            list.sort_unstable();
-        }
         self.delta = DeltaRegion::new(built.params.clone(), built.n_items as usize);
-        self.failed_by_set = failed_by_set;
         self.pre = built;
         self.version += 1;
         Ok(())
@@ -549,22 +510,6 @@ impl LayeredCorpus {
         let db = self.database();
         Ok(LevelwiseMiner::new(config).mine_with_preprocessed(&db, &self.pre))
     }
-}
-
-fn sorted_intersection_count(a: &[u32], b: &[u32]) -> u64 {
-    let (mut i, mut j, mut n) = (0, 0, 0u64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
 }
 
 /// Frequent pairs/itemsets over the last `window` transactions of a

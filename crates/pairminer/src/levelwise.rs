@@ -44,8 +44,8 @@
 //! above (no candidate join re-derivation, no multiway construction),
 //! so an empty level 2 costs nothing.
 //!
-//! [`crate::kitemsets::mine_triples`] is this engine pinned to
-//! `depth = 3`.
+//! Triple mining is this engine at `depth = 3`; when the frequent pairs
+//! already exist, [`LevelwiseMiner::mine_from_pairs`] starts from them.
 
 use crate::executor::balanced_partition;
 use crate::miner::{mine, MinerConfig, MiningReport};
@@ -75,8 +75,7 @@ pub struct LevelwiseConfig {
     pub multiway_max_loop: u32,
     /// Range doublings [`MultiwayBatmap::build_with_growth`] may spend
     /// recovering a failed build before the engine falls back to exact
-    /// merging for that item (0 = fail immediately, the historical
-    /// `kitemsets` behaviour).
+    /// merging for that item (0 = fail immediately).
     pub growth_doublings: u32,
 }
 
@@ -596,6 +595,11 @@ mod tests {
         }
         // And no multiway machinery was touched.
         assert_eq!(report.fallback_items, 0);
+        // Seeding with no frequent pairs is the same empty run.
+        let seeded = LevelwiseMiner::new(config(3, 1)).mine_from_pairs(&d, &PairMap::default());
+        assert!(seeded.itemsets.is_empty());
+        assert_eq!(seeded.level(3).map_or(0, |l| l.candidates), 0);
+        assert_eq!(seeded.fallback_items, 0);
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub mod executor;
 pub mod failed;
 pub mod gpu;
 pub mod ingest;
-pub mod kitemsets;
 pub mod levelwise;
 pub mod memory;
 pub mod miner;
@@ -40,7 +39,6 @@ pub use executor::{
     TileConsumer, TileExecutor, TilePlan,
 };
 pub use ingest::{CompactionJob, IngestError, LayeredCorpus, WindowedMiner};
-pub use kitemsets::{mine_triples, TripleReport};
 pub use levelwise::{LevelReport, LevelwiseConfig, LevelwiseMiner, LevelwiseReport};
 pub use memory::MemoryReport;
 pub use miner::{mine, mine_preprocessed, Engine, MinerConfig, MiningReport, Timings};

@@ -83,7 +83,9 @@ pub struct Preprocessed {
     pub item_to_sorted: Vec<u32>,
     /// Real (unpadded) item count.
     pub n_items: u32,
-    /// Failed insertions as `(sorted item index, tid)`.
+    /// Failed insertions as `(sorted item index, tid)`, sorted and
+    /// free of duplicates: the corpus' one failure index
+    /// ([`Preprocessed::failed_for`] slices it per set).
     pub failed: Vec<(u32, u32)>,
     /// Aggregated construction statistics.
     pub stats: batmap::InsertStats,
@@ -108,6 +110,15 @@ impl Preprocessed {
     /// its representation (the hybrid executors' entry point).
     pub fn payload(&self, s: usize) -> SetView<'_> {
         self.arena.payload(s)
+    }
+
+    /// The failed insertions of the set at sorted position `s`: its run
+    /// of [`Preprocessed::failed`], ascending by tid.
+    pub fn failed_for(&self, s: usize) -> &[(u32, u32)] {
+        let s = s as u32;
+        let lo = self.failed.partition_point(|&(f, _)| f < s);
+        let hi = self.failed.partition_point(|&(f, _)| f <= s);
+        &self.failed[lo..hi]
     }
 
     /// How many sets each representation holds (indexed by
@@ -286,11 +297,17 @@ impl Preprocessed {
         {
             return Err(bad("failure list references an out-of-universe tid"));
         }
-        let failed = header
+        // Older snapshots may hold the list unsorted; a repeated entry
+        // would count twice in every per-set correction.
+        let mut failed: Vec<(u32, u32)> = header
             .failed_set
             .into_iter()
             .zip(header.failed_tid)
             .collect();
+        failed.sort_unstable();
+        if failed.windows(2).any(|w| w[0] == w[1]) {
+            return Err(bad("failure list repeats an entry"));
+        }
         Ok(Preprocessed {
             params: arena.params().clone(),
             arena,
@@ -490,6 +507,7 @@ pub fn preprocess_with(
             failed.push((s as u32, tid));
         }
     }
+    failed.sort_unstable();
     Preprocessed {
         params,
         arena,
@@ -870,17 +888,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn failures_are_remapped_to_sorted_space() {
-        // Force failures with MaxLoop = 1 on a denser instance.
+    /// A corpus whose build drops insertions: MaxLoop = 1, and sets of
+    /// 125 at load 1/3 spread over a universe much wider than their
+    /// range, so cuckoo positions collide.
+    fn forced_failures() -> (VerticalDb, Preprocessed) {
         let db = TransactionDb::new(
             8,
-            (0..200u32)
-                .map(|t| (0..8).filter(|&i| (t + i) % 2 == 0).collect())
+            (0..2000u32)
+                .map(|t| (0..8).filter(|&i| (t + i) % 16 == 0).collect())
                 .collect(),
         );
         let v = VerticalDb::from_horizontal(&db);
         let pre = preprocess(&v, 5, 1);
+        assert!(!pre.failed.is_empty(), "fixture must force failures");
+        (v, pre)
+    }
+
+    #[test]
+    fn failures_are_remapped_to_sorted_space() {
+        let (v, pre) = forced_failures();
+        // One index: strictly ascending by (position, tid), and the
+        // per-set runs tile it exactly.
+        assert!(pre.failed.windows(2).all(|w| w[0] < w[1]));
+        let runs: Vec<(u32, u32)> = (0..pre.padded_items())
+            .flat_map(|s| {
+                let run = pre.failed_for(s);
+                assert!(run.iter().all(|&(f, _)| f as usize == s));
+                run.iter().copied()
+            })
+            .collect();
+        assert_eq!(runs, pre.failed);
         for &(s, tid) in &pre.failed {
             assert!((s as usize) < pre.n_items as usize);
             let item = pre.order[s as usize];
@@ -890,5 +927,29 @@ mod tests {
             // …and must be absent from the built batmap.
             assert!(!pre.batmap(s as usize).contains(tid));
         }
+    }
+
+    #[test]
+    fn snapshot_failure_list_is_sorted_and_duplicate_free() {
+        let (_, pre) = forced_failures();
+        // An unsorted list (as snapshots written before the index was
+        // kept sorted may hold) loads, sorted.
+        let mut unsorted = pre.clone();
+        unsorted.failed.reverse();
+        let mut buf = Vec::new();
+        unsorted.write_snapshot(&mut buf).unwrap();
+        let loaded = Preprocessed::read_snapshot(&mut buf.as_slice()).unwrap();
+        assert_eq!(loaded.failed, pre.failed);
+        // A repeated entry would count twice in every correction: the
+        // checksum cannot catch it (the writer sealed it), the parser
+        // must.
+        let mut repeated = pre.clone();
+        repeated.failed.push(pre.failed[0]);
+        let mut buf = Vec::new();
+        repeated.write_snapshot(&mut buf).unwrap();
+        assert!(matches!(
+            Preprocessed::read_snapshot(&mut buf.as_slice()),
+            Err(SnapshotError::Format(_))
+        ));
     }
 }

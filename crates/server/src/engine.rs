@@ -24,11 +24,13 @@
 //! shard and gather through an atomic countdown; the last shard to
 //! finish merges and replies.
 //!
-//! Counts are **exact**: raw sweeps over stored payloads are corrected
-//! for failed cuckoo insertions *and* for the live delta
-//! ([`pairminer::LayeredCorpus::corrected`]) — served answers equal
-//! brute force over the live transaction multiset, whatever the storage
-//! representation and however many un-compacted writes are pending.
+//! Counts are **exact**: every raw sweep over stored payloads ends in
+//! [`batmap::exact_pair_count`] (through
+//! [`pairminer::LayeredCorpus::corrected`]), which adds the failed
+//! cuckoo insertions of both sets and then the live delta — served
+//! answers equal brute force over the live transaction multiset,
+//! whatever the storage representation and however many un-compacted
+//! writes are pending.
 //! Compaction never changes any answer.
 //!
 //! Every reply is a pure function of the request and the corpus version
@@ -134,10 +136,10 @@ enum ProbeData {
     /// A stored set, by original item id (resolved to its current
     /// sorted position under each shard's batch guard).
     Set(u32),
-    /// Validated ad-hoc elements: strictly ascending, in-universe. The
-    /// bytes are the little-endian tidlist encoding each shard borrows
-    /// as a [`TidlistRef`].
-    Elements { elements: Vec<u32>, bytes: Vec<u8> },
+    /// Validated ad-hoc elements (strictly ascending, in-universe) in
+    /// the little-endian tidlist encoding each shard borrows as a
+    /// [`TidlistRef`].
+    Elements(Vec<u8>),
 }
 
 /// One top-k query scattered across all shards of a corpus.
@@ -362,7 +364,7 @@ impl QueryEngine {
                         }
                         let mut bytes = vec![0u8; 4 * elements.len()];
                         batmap::repr::encode_tidlist_into(&elements, &mut bytes);
-                        ProbeData::Elements { elements, bytes }
+                        ProbeData::Elements(bytes)
                     }
                 };
                 let shards = corp.shard_map.shards();
@@ -789,11 +791,11 @@ fn topk_shard_partial(
             }
             Some(*item)
         }
-        ProbeData::Elements { elements, bytes } => {
+        ProbeData::Elements(bytes) => {
             let view = SetView::Tidlist(TidlistRef::from_bytes(&state.pre().params, bytes));
             count_mixed_one_vs_many_into(&view, &candidates, &mut out);
             for (raw, &sb) in out.iter_mut().zip(&positions) {
-                *raw = state.corrected_adhoc(*raw, elements, sb);
+                *raw = state.corrected_adhoc(*raw, &view, sb);
             }
             None
         }

@@ -1,11 +1,12 @@
 //! Integration tests of the extension features: the §V multiway
-//! structures end to end (triple mining), the collection API, the
-//! command queue, and WAH interop with the other formats.
+//! structures end to end (triple mining), live point queries against
+//! the pipeline, the command queue, and WAH interop with the other
+//! formats.
 
-use batmap::BatmapCollection;
+use batmap::{EngineOptions, ReprPolicy};
 use datagen::uniform::{generate, UniformSpec};
 use fim::{apriori, WahBitmap};
-use pairminer::{mine, mine_triples, MinerConfig};
+use pairminer::{mine, LayeredCorpus, LevelwiseConfig, LevelwiseMiner, MinerConfig};
 
 fn instance(n: u32, total: usize, density: f64, seed: u64) -> fim::TransactionDb {
     generate(&UniformSpec {
@@ -29,16 +30,25 @@ fn triple_mining_end_to_end_matches_apriori() {
             },
         )
         .pairs;
-        let report = mine_triples(&db, &pairs, minsup);
+        let report = LevelwiseMiner::new(LevelwiseConfig {
+            depth: 3,
+            pair: MinerConfig {
+                minsup,
+                ..Default::default()
+            },
+            ..Default::default()
+        })
+        .mine_from_pairs(&db, &pairs);
+        let triples: Vec<_> = report.itemsets_of_len(3).into_iter().cloned().collect();
         let mut expect: Vec<_> = apriori::mine(&db, minsup, 3)
             .into_iter()
             .filter(|s| s.items.len() == 3)
             .collect();
         expect.sort_by(|a, b| a.items.cmp(&b.items));
-        assert_eq!(report.triples, expect, "minsup={minsup}");
+        assert_eq!(triples, expect, "minsup={minsup}");
         if minsup <= 25 {
             assert!(
-                !report.triples.is_empty(),
+                !triples.is_empty(),
                 "expected frequent triples at minsup={minsup}"
             );
         }
@@ -48,23 +58,26 @@ fn triple_mining_end_to_end_matches_apriori() {
 #[test]
 fn collection_mirrors_pipeline_counts() {
     let db = instance(40, 30_000, 0.05, 9);
-    let v = fim::VerticalDb::from_horizontal(&db);
-    let tidlists: Vec<Vec<u32>> = (0..v.n_items()).map(|i| v.tidlist(i).to_vec()).collect();
-    let coll = BatmapCollection::build(v.m().max(1) as u64, 0xC0, &tidlists);
-    assert!(coll.failed().is_empty());
     let report = mine(&db, &MinerConfig::default());
-    for (&(i, j), &support) in &report.pairs {
-        assert_eq!(
-            coll.intersect_count(i as usize, j as usize),
-            support,
-            "pair ({i},{j})"
-        );
-    }
-    // And the collection's all_pairs view agrees with the miner where
-    // both report.
-    for (i, j, c) in coll.all_pairs() {
-        if let Some(&s) = report.pairs.get(&(i, j)) {
-            assert_eq!(c, s);
+    let minsup = MinerConfig::default().minsup;
+    // Point queries over the same corpus agree with the tiled pipeline
+    // on every pair — the ones it reports, and the ones it prunes —
+    // with and without failed insertions to correct for (an all-batmap
+    // corpus, so the dense sets cannot move to a failure-free layout).
+    let options = EngineOptions::auto().repr(ReprPolicy::Batmap);
+    for max_loop in [128, 1] {
+        let corpus = LayeredCorpus::new(&db, 0xC0, max_loop, options);
+        if max_loop == 1 {
+            assert!(!corpus.pre().failed.is_empty(), "MaxLoop 1 must fail");
+        }
+        for i in 0..db.n_items() {
+            for j in (i + 1)..db.n_items() {
+                let count = corpus.pair_count(i, j);
+                match report.pairs.get(&(i, j)) {
+                    Some(&support) => assert_eq!(count, support, "pair ({i},{j})"),
+                    None => assert!(count < minsup, "pair ({i},{j}) pruned at {count}"),
+                }
+            }
         }
     }
 }

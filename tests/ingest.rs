@@ -10,15 +10,23 @@
 //!
 //! The property is pinned across both storage-policy axes
 //! (`ReprPolicy::Batmap` and `ReprPolicy::Hybrid` — the delta layer
-//! must be invisible regardless of how the base represents each set)
-//! and across host parallelism 1 and 4 (mining fan-out must not change
-//! any report).
+//! must be invisible regardless of how the base represents each set),
+//! across host parallelism 1 and 4 (mining fan-out must not change any
+//! report), and across cuckoo `MaxLoop` 1 and 128: at `MaxLoop = 1`
+//! sparse batmap sets in the larger universes drop insertions, so
+//! failed-insertion corrections, delta writes and compaction run
+//! together.
 
 use batmap::{EngineOptions, Parallelism, ReprPolicy};
 use fim::TransactionDb;
 use pairminer::{Engine, LayeredCorpus, LevelwiseConfig, LevelwiseMiner, MinerConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Cases of the interleaving property in which some corpus (initial,
+/// compacted or rebuilt) held failed insertions.
+static CASES_WITH_FAILURES: AtomicUsize = AtomicUsize::new(0);
 
 /// One scripted step of the interleaving.
 #[derive(Debug, Clone)]
@@ -68,6 +76,20 @@ fn model_support(model: &[Vec<u32>], a: u32) -> u64 {
     model.iter().filter(|t| t.binary_search(&a).is_ok()).count() as u64
 }
 
+/// Every (storage policy, host parallelism, cuckoo `MaxLoop`) the
+/// property runs under.
+fn axes() -> Vec<(ReprPolicy, Parallelism, u32)> {
+    let mut axes = Vec::new();
+    for policy in [ReprPolicy::Batmap, ReprPolicy::Hybrid] {
+        for threads in [Parallelism::Serial, Parallelism::threads(4)] {
+            for max_loop in [1, 128] {
+                axes.push((policy, threads, max_loop));
+            }
+        }
+    }
+    axes
+}
+
 fn mine_config(options: EngineOptions) -> LevelwiseConfig {
     LevelwiseConfig {
         depth: 3,
@@ -80,111 +102,129 @@ fn mine_config(options: EngineOptions) -> LevelwiseConfig {
     }
 }
 
+/// The differential oracle (see module docs).
+#[test]
+fn interleaved_writes_equal_from_scratch_preprocess() {
+    check_interleavings();
+    assert!(
+        CASES_WITH_FAILURES.load(Ordering::Relaxed) > 0,
+        "no generated corpus dropped an insertion at MaxLoop 1"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The differential oracle (see module docs).
-    #[test]
-    fn interleaved_writes_equal_from_scratch_preprocess(
+    // Universes up to 1024 slots with up to 128 live transactions keep
+    // the batmap sets sparse enough that MaxLoop 1 drops insertions in
+    // most cases (universes of at most 64 slots never collide).
+    fn check_interleavings(
         n in 2u32..12,
-        m in 4u32..32,
-        start in vec(vec(any::<u32>(), 0..8usize), 0..16),
+        m in 4u32..1024,
+        start in vec(any::<u64>(), 0..128usize),
         ops in vec((any::<u8>(), any::<u32>(), any::<u32>(), any::<u64>()), 5..40),
         seed in 0u64..100,
     ) {
         // Seed database: some live slots, the rest free for writes.
         let mut txns: Vec<Vec<u32>> = vec![Vec::new(); m as usize];
-        for (i, soup) in start.iter().enumerate() {
-            txns[i % m as usize] = soup.iter().map(|&x| x % n).collect();
+        for (i, &bits) in start.iter().enumerate() {
+            txns[i % m as usize] = derive_items(bits, n);
         }
         let db = TransactionDb::new(n, txns);
         let steps = materialize(&ops, n, m);
+        let mut saw_failures = false;
 
-        for policy in [ReprPolicy::Batmap, ReprPolicy::Hybrid] {
-            for threads in [Parallelism::Serial, Parallelism::threads(4)] {
-                let options = EngineOptions::auto().repr(policy).threads(threads);
-                let mut corpus = LayeredCorpus::new(&db, seed, 128, options);
-                // The model: live transactions, maintained in lockstep.
-                let mut model: Vec<Vec<u32>> = db.transactions().to_vec();
+        for (policy, threads, max_loop) in axes() {
+            let options = EngineOptions::auto().repr(policy).threads(threads);
+            let mut corpus = LayeredCorpus::new(&db, seed, max_loop, options);
+            saw_failures |= !corpus.pre().failed.is_empty();
+            // The model: live transactions, maintained in lockstep.
+            let mut model: Vec<Vec<u32>> = db.transactions().to_vec();
 
-                for step in &steps {
-                    match step {
-                        Step::Toggle { tid, bits } => {
-                            let t = *tid as usize;
-                            if model[t].is_empty() {
-                                let items = derive_items(*bits, n);
-                                let changed = corpus.insert_txn(*tid, &items).unwrap();
-                                prop_assert_eq!(changed, items.len() as u64);
-                                model[t] = items;
-                            } else {
-                                let changed = corpus.remove_txn(*tid).unwrap();
-                                prop_assert_eq!(changed, model[t].len() as u64);
-                                model[t].clear();
-                            }
-                        }
-                        Step::Reapply { tid } => {
-                            let t = *tid as usize;
-                            if model[t].is_empty() {
-                                prop_assert_eq!(corpus.remove_txn(*tid).unwrap(), 0);
-                            } else {
-                                let items = model[t].clone();
-                                prop_assert_eq!(corpus.insert_txn(*tid, &items).unwrap(), 0);
-                            }
-                        }
-                        Step::Compact => {
-                            corpus.compact().unwrap();
-                            prop_assert!(!corpus.is_dirty());
-                        }
-                        Step::Probe { a, b } => {
-                            prop_assert_eq!(corpus.pair_count(*a, *b), model_pair(&model, *a, *b));
-                            prop_assert_eq!(corpus.count(*a), model_support(&model, *a));
+            for step in &steps {
+                match step {
+                    Step::Toggle { tid, bits } => {
+                        let t = *tid as usize;
+                        if model[t].is_empty() {
+                            let items = derive_items(*bits, n);
+                            let changed = corpus.insert_txn(*tid, &items).unwrap();
+                            prop_assert_eq!(changed, items.len() as u64);
+                            model[t] = items;
+                        } else {
+                            let changed = corpus.remove_txn(*tid).unwrap();
+                            prop_assert_eq!(changed, model[t].len() as u64);
+                            model[t].clear();
                         }
                     }
-                }
-
-                // Final state: every answer equals a from-scratch
-                // preprocess of the final transaction multiset.
-                let final_db = TransactionDb::new(n, model.clone());
-                let fresh = LayeredCorpus::new(&final_db, seed.wrapping_add(1), 128, options);
-                for a in 0..n {
-                    prop_assert_eq!(corpus.count(a), fresh.count(a), "count({})", a);
-                    for b in 0..n {
-                        prop_assert_eq!(
-                            corpus.pair_count(a, b),
-                            fresh.pair_count(a, b),
-                            "pair ({}, {}) under {:?}",
-                            a, b, policy
-                        );
+                    Step::Reapply { tid } => {
+                        let t = *tid as usize;
+                        if model[t].is_empty() {
+                            prop_assert_eq!(corpus.remove_txn(*tid).unwrap(), 0);
+                        } else {
+                            let items = model[t].clone();
+                            prop_assert_eq!(corpus.insert_txn(*tid, &items).unwrap(), 0);
+                        }
                     }
-                    prop_assert_eq!(
-                        corpus.top_k(a, 5),
-                        fresh.top_k(a, 5),
-                        "top-k of {} under {:?}",
-                        a, policy
-                    );
-                }
-                for tid in 0..m {
-                    for a in 0..n {
-                        prop_assert_eq!(
-                            corpus.member(a, tid),
-                            model[tid as usize].binary_search(&a).is_ok(),
-                            "member({}, {})", a, tid
-                        );
+                    Step::Compact => {
+                        corpus.compact().unwrap();
+                        prop_assert!(!corpus.is_dirty());
+                        saw_failures |= !corpus.pre().failed.is_empty();
                     }
-                }
-
-                // Levelwise mining: the live corpus' report (compacting
-                // its deltas) equals a from-scratch mine of the final
-                // database — same itemsets, same supports.
-                let report = corpus.mine(mine_config(options)).unwrap();
-                let scratch = LevelwiseMiner::new(mine_config(options)).mine(&final_db);
-                prop_assert_eq!(&report.itemsets, &scratch.itemsets);
-                prop_assert_eq!(report.levels.len(), scratch.levels.len());
-                for (have, want) in report.levels.iter().zip(&scratch.levels) {
-                    prop_assert_eq!(have.k, want.k);
-                    prop_assert_eq!(have.frequent, want.frequent);
+                    Step::Probe { a, b } => {
+                        prop_assert_eq!(corpus.pair_count(*a, *b), model_pair(&model, *a, *b));
+                        prop_assert_eq!(corpus.pair_count(*a, *a), model_support(&model, *a));
+                        prop_assert_eq!(corpus.count(*a), model_support(&model, *a));
+                    }
                 }
             }
+
+            // Final state: every answer equals a from-scratch
+            // preprocess of the final transaction multiset.
+            let final_db = TransactionDb::new(n, model.clone());
+            let fresh = LayeredCorpus::new(&final_db, seed.wrapping_add(1), max_loop, options);
+            saw_failures |= !fresh.pre().failed.is_empty();
+            for a in 0..n {
+                prop_assert_eq!(corpus.count(a), fresh.count(a), "count({})", a);
+                prop_assert_eq!(corpus.pair_count(a, a), model_support(&model, a), "self {}", a);
+                for b in 0..n {
+                    prop_assert_eq!(
+                        corpus.pair_count(a, b),
+                        fresh.pair_count(a, b),
+                        "pair ({}, {}) under {:?}, MaxLoop {}",
+                        a, b, policy, max_loop
+                    );
+                }
+                prop_assert_eq!(
+                    corpus.top_k(a, 5),
+                    fresh.top_k(a, 5),
+                    "top-k of {} under {:?}, MaxLoop {}",
+                    a, policy, max_loop
+                );
+            }
+            for tid in 0..m {
+                for a in 0..n {
+                    prop_assert_eq!(
+                        corpus.member(a, tid),
+                        model[tid as usize].binary_search(&a).is_ok(),
+                        "member({}, {})", a, tid
+                    );
+                }
+            }
+
+            // Levelwise mining: the live corpus' report (compacting
+            // its deltas) equals a from-scratch mine of the final
+            // database — same itemsets, same supports.
+            let report = corpus.mine(mine_config(options)).unwrap();
+            let scratch = LevelwiseMiner::new(mine_config(options)).mine(&final_db);
+            prop_assert_eq!(&report.itemsets, &scratch.itemsets);
+            prop_assert_eq!(report.levels.len(), scratch.levels.len());
+            for (have, want) in report.levels.iter().zip(&scratch.levels) {
+                prop_assert_eq!(have.k, want.k);
+                prop_assert_eq!(have.frequent, want.frequent);
+            }
+        }
+        if saw_failures {
+            CASES_WITH_FAILURES.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
