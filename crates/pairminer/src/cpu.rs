@@ -1,26 +1,28 @@
-//! Multicore CPU execution of the batmap comparisons.
+//! CPU execution of the batmap comparisons.
 //!
 //! The same tile schedule as the GPU path, executed for real on host
-//! cores with rayon — this is the "running the algorithm on the 8 CPU
-//! cores on our system" comparison (§IV-A finds the GPU ~5× faster) and
-//! the measurement engine behind Fig. 11.
+//! cores — this is the "running the algorithm on the 8 CPU cores on our
+//! system" comparison (§IV-A finds the GPU ~5× faster) and the
+//! measurement engine behind Fig. 11.
 //!
-//! Every tile runner sweeps its rows through one primitive,
-//! [`intersect::count_mixed_one_vs_many_into`], over typed arena views:
-//! a pure-batmap corpus and a hybrid one take the same code path, and
-//! the driver itself batches equal-width batmap candidates.
+//! The CPU engine's one unit of work is a row band of a tile
+//! ([`run_band`]); [`run_tile_cpu`] sweeps a whole tile's full square
+//! as the GPU-parity reference. Both sweep every row through one
+//! primitive, [`intersect::count_mixed_one_vs_many_into`], over typed
+//! arena views: a pure-batmap corpus and a hybrid one take the same
+//! code path, and the driver itself batches equal-width batmap
+//! candidates.
 
 use crate::preprocess::Preprocessed;
 use crate::schedule::Tile;
 use batmap::intersect;
-use batmap::{KernelBackend, SetView};
+use batmap::KernelBackend;
 use rayon::prelude::*;
 
 /// Counts for one tile computed on the CPU: row-major `rows × cols`,
 /// identical layout to the GPU path (diagonal tiles compute their full
 /// square, exactly as the lockstep kernel does — this is the
-/// GPU-parity reference; the mining executors use the triangular
-/// variants below).
+/// GPU-parity reference; the mining executor uses [`run_band`]).
 ///
 /// All row/column operands are zero-copy typed views into the
 /// preprocessed arena — the column block is materialized once per tile
@@ -43,66 +45,28 @@ pub fn run_tile_cpu(pre: &Preprocessed, tile: &Tile) -> Vec<u64> {
     counts
 }
 
-/// First tile-local column a row of this tile actually reports: `0` off
-/// the diagonal, `r + 1` on a diagonal tile (cells at or below the main
-/// diagonal are never reported, so the CPU engines skip computing
-/// them — the §III-C symmetry saving, applied *inside* the tile).
-#[inline]
-fn first_useful_col(tile: &Tile, r: usize) -> usize {
-    if tile.is_diagonal() {
-        r + 1
-    } else {
-        0
-    }
-}
-
-/// One row of tile counts, written into `row_out` (length `tile.cols`),
-/// skipping the at-or-below-diagonal cells.
+/// Sweep one row band of a tile, sequentially, into `counts` (resized
+/// to the band's row-major `rows × cols`, so one buffer serves every
+/// band a worker runs).
 ///
-/// Routes through the row driver
-/// ([`intersect::count_mixed_one_vs_many_into`]): the backend is
-/// dispatched once for the whole row, and a batmap row's words stay hot
-/// in registers/L1 while each equal-width candidate block is swept.
-/// `cols` is the tile's column block of arena views, shared across
-/// rows.
-#[inline]
-fn fill_row(pre: &Preprocessed, cols: &[SetView<'_>], tile: &Tile, r: usize, row_out: &mut [u64]) {
-    let a = pre.payload(tile.row_base + r);
-    let first = first_useful_col(tile, r);
-    if first >= tile.cols {
-        return; // last row of a diagonal tile reports nothing
-    }
-    intersect::count_mixed_one_vs_many_into(&a, &cols[first..], &mut row_out[first..]);
-}
-
-/// Strictly sequential tile counts (no worker threads): row-major
-/// `rows × cols`, with the skipped at-or-below-diagonal cells of a
-/// diagonal tile left at zero. This is the serial baseline of the
-/// speedup story and the oracle of the parallel-equivalence tests.
-pub fn run_tile_cpu_serial(pre: &Preprocessed, tile: &Tile) -> Vec<u64> {
-    let mut counts = vec![0u64; tile.rows * tile.cols];
+/// On a diagonal band only the cells with global column > global row
+/// are computed (the §III-C symmetry saving, applied *inside* the
+/// tile); the rest keep whatever the buffer held. The backend is
+/// dispatched once per row, and a batmap row's words stay hot in
+/// registers/L1 while each equal-width candidate block is swept.
+pub fn run_band(pre: &Preprocessed, band: &Tile, counts: &mut Vec<u64>) {
+    counts.resize(band.rows * band.cols, 0);
     let cols = pre
         .arena
-        .payload_views(tile.col_base..tile.col_base + tile.cols);
-    for (r, row_out) in counts.chunks_mut(tile.cols).enumerate() {
-        fill_row(pre, &cols, tile, r, row_out);
+        .payload_views(band.col_base..band.col_base + band.cols);
+    for (r, row_out) in counts.chunks_mut(band.cols).enumerate() {
+        let first = band.first_reported_col(r);
+        if first >= band.cols {
+            continue; // the last row of a diagonal tile reports nothing
+        }
+        let a = pre.payload(band.row_base + r);
+        intersect::count_mixed_one_vs_many_into(&a, &cols[first..], &mut row_out[first..]);
     }
-    counts
-}
-
-/// Row-parallel tile counts with the same triangular skip as
-/// [`run_tile_cpu_serial`]: used by the parallel engine when a plan has
-/// fewer tiles than workers, so parallelism comes from inside the tile.
-pub fn run_tile_cpu_rows(pre: &Preprocessed, tile: &Tile) -> Vec<u64> {
-    let mut counts = vec![0u64; tile.rows * tile.cols];
-    let cols = pre
-        .arena
-        .payload_views(tile.col_base..tile.col_base + tile.cols);
-    counts
-        .par_chunks_mut(tile.cols)
-        .enumerate()
-        .for_each(|(r, row_out)| fill_row(pre, &cols, tile, r, row_out));
-    counts
 }
 
 /// The Fig. 11 micro-measurement with the paper's u32 SWAR backend:
@@ -186,6 +150,45 @@ mod tests {
         }
     }
 
+    /// Sweep every tile of `pre` band by band, at several band
+    /// heights, through one reused buffer, and check each useful cell
+    /// (global column > global row on a diagonal tile) against the
+    /// full-square sweep and the element-wise [`oracle`].
+    fn check_bands_against_full_square(pre: &Preprocessed) {
+        let mut counts = Vec::new();
+        for tile in schedule(pre.padded_items(), 16) {
+            let full = run_tile_cpu(pre, &tile);
+            for height in [1usize, 5, 16] {
+                for band in tile.bands(height) {
+                    run_band(pre, &band, &mut counts);
+                    assert_eq!(counts.len(), band.rows * band.cols);
+                    for r in 0..band.rows {
+                        let gi = band.row_base + r;
+                        for c in 0..band.cols {
+                            let gj = band.col_base + c;
+                            let f = full[(gi - tile.row_base) * tile.cols + c];
+                            assert_eq!(f, oracle(pre, gi, gj), "full cell ({gi},{gj})");
+                            if !band.is_diagonal() || gj > gi {
+                                assert_eq!(counts[r * band.cols + c], f, "band cell ({gi},{gj})");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Reference count of two sets of the corpus, from their elements.
+    fn oracle(pre: &Preprocessed, a: usize, b: usize) -> u64 {
+        let mut ea = pre.payload(a).elements();
+        ea.sort_unstable();
+        pre.payload(b)
+            .elements()
+            .iter()
+            .filter(|x| ea.binary_search(x).is_ok())
+            .count() as u64
+    }
+
     #[test]
     fn triangular_tile_runners_agree_with_full_square() {
         let db = TransactionDb::new(
@@ -200,22 +203,7 @@ mod tests {
         );
         let v = VerticalDb::from_horizontal(&db);
         let pre = preprocess(&v, 5, 128);
-        for tile in schedule(pre.padded_items(), 16) {
-            let full = run_tile_cpu(&pre, &tile);
-            let serial = run_tile_cpu_serial(&pre, &tile);
-            let rows = run_tile_cpu_rows(&pre, &tile);
-            assert_eq!(serial, rows, "tile ({},{})", tile.p, tile.q);
-            for r in 0..tile.rows {
-                for c in 0..tile.cols {
-                    let i = r * tile.cols + c;
-                    if tile.is_diagonal() && c <= r {
-                        assert_eq!(serial[i], 0, "skipped cell must stay zero");
-                    } else {
-                        assert_eq!(serial[i], full[i], "useful cell ({r},{c})");
-                    }
-                }
-            }
-        }
+        check_bands_against_full_square(&pre);
     }
 
     #[test]
@@ -227,7 +215,7 @@ mod tests {
     #[test]
     fn hybrid_tile_runners_agree_and_match_oracle() {
         use crate::preprocess::preprocess_with;
-        use batmap::{EngineOptions, ReprPolicy};
+        use batmap::{EngineOptions, ReprPolicy, SetView};
         // Skewed density so the hybrid policy genuinely mixes layouts.
         let db = TransactionDb::new(
             12,
@@ -249,32 +237,6 @@ mod tests {
             (0..pre.arena.len()).any(|i| !matches!(pre.payload(i), SetView::Batmap(_))),
             "fixture must be hybrid"
         );
-        let oracle = |a: usize, b: usize| -> u64 {
-            let mut ea = pre.payload(a).elements();
-            ea.sort_unstable();
-            pre.payload(b)
-                .elements()
-                .iter()
-                .filter(|x| ea.binary_search(x).is_ok())
-                .count() as u64
-        };
-        for tile in schedule(pre.padded_items(), 16) {
-            let full = run_tile_cpu(&pre, &tile);
-            let serial = run_tile_cpu_serial(&pre, &tile);
-            let rows = run_tile_cpu_rows(&pre, &tile);
-            assert_eq!(serial, rows, "tile ({},{})", tile.p, tile.q);
-            for r in 0..tile.rows {
-                for c in 0..tile.cols {
-                    let i = r * tile.cols + c;
-                    let expect = oracle(tile.row_base + r, tile.col_base + c);
-                    assert_eq!(full[i], expect, "full cell ({r},{c})");
-                    if tile.is_diagonal() && c <= r {
-                        assert_eq!(serial[i], 0, "skipped cell must stay zero");
-                    } else {
-                        assert_eq!(serial[i], expect, "useful cell ({r},{c})");
-                    }
-                }
-            }
-        }
+        check_bands_against_full_square(&pre);
     }
 }

@@ -2,34 +2,31 @@
 //! engines share.
 //!
 //! [`TilePlan`] wraps the §III-C k×k upper-triangle schedule with its
-//! cost model; a [`TileExecutor`] walks the plan and feeds each tile's
-//! row-major counts to a [`TileConsumer`]. Three executors implement
-//! the seam:
+//! cost model; a [`TileExecutor`] walks the plan and feeds row-major
+//! counts to [`TileConsumer`]s. Two executors implement the seam:
 //!
-//! * [`SerialCpuExecutor`] — strictly sequential host execution, the
-//!   baseline of the paper's CPU-vs-GPU comparison and of the
-//!   parallel-equivalence tests;
-//! * [`ParallelCpuExecutor`] — multicore host execution: tiles are
-//!   balanced across workers by reported-comparison cost (longest
-//!   processing time first), each worker folds its results into a
-//!   thread-local consumer, and the locals are merged at the end.
-//!   Plans with fewer than twice as many tiles as workers parallelize
-//!   across rows *inside* each tile instead (too few tiles to balance
-//!   well), so a single-tile run still uses every core. Both CPU paths
-//!   skip the at-or-below-diagonal cells of
-//!   diagonal tiles entirely (the §III-C symmetry saving, applied
-//!   inside the tile);
+//! * [`ParallelCpuExecutor`] — host execution on 1..N workers, one code
+//!   path for every worker count. Its unit of work is a *row band* of a
+//!   tile ([`TilePlan::bands`]): bands are balanced across workers by
+//!   reported-comparison cost (longest processing time first — the
+//!   vendored rayon shim splits work statically, with no stealing), and
+//!   each worker sweeps its bands one by one into a single reused count
+//!   buffer, hands each to its own consumer, and the consumers are
+//!   merged at the end. Diagonal bands skip their at-or-below-diagonal
+//!   cells entirely (the §III-C symmetry saving, applied inside the
+//!   tile). [`Parallelism::Serial`] runs the same body on the calling
+//!   thread;
 //! * [`GpuSimExecutor`] — the §III-B kernel on the `gpu-sim` substrate
-//!   (simulated device timing; diagonal tiles execute their full
-//!   square in lockstep, as real SIMD hardware would).
+//!   (simulated device timing; whole tiles, and diagonal tiles execute
+//!   their full square in lockstep, as real SIMD hardware would).
 //!
-//! The contract consumers rely on: every tile of the plan is consumed
-//! exactly once, and on a diagonal tile only the strict-upper-triangle
-//! cells carry meaningful counts (the rest are unspecified — the CPU
-//! executors leave them zero, the GPU executor computes them).
+//! The contract consumers rely on: every cell of the plan is consumed
+//! exactly once, in one call per band (CPU) or per tile (GPU); on a
+//! diagonal block only cells with global column > global row carry
+//! meaningful counts (the rest are unspecified).
 //!
-//! Both CPU tile runners (`pairminer::cpu`) feed each tile row through
-//! the one-vs-many row driver
+//! The CPU band runner (`pairminer::cpu::run_band`) feeds each row
+//! through the one-vs-many row driver
 //! (`batmap::intersect::count_mixed_one_vs_many_into`): the match-count
 //! backend is dispatched once per row, a batmap row stays hot in
 //! registers/L1 across the column block, and equal-width batmap columns
@@ -38,7 +35,7 @@
 //! (batmap / bitmap / tidlist) into the preprocessed corpus's
 //! contiguous `BatmapArena`, whether the corpus is pure batmap or
 //! hybrid (width-sorted sets sit width-adjacent in one buffer, so a
-//! tile walk streams linearly instead of chasing per-set boxes).
+//! band walk streams linearly instead of chasing per-set boxes).
 
 use crate::cpu;
 use crate::gpu::{self, DeviceData};
@@ -95,15 +92,20 @@ impl TilePlan {
         crate::schedule::total_executed_comparisons(&self.tiles)
     }
 
-    /// Partition the tiles into `workers` cost-balanced buckets using
-    /// the reported-comparison cost model (longest-processing-time
-    /// greedy: heaviest tile first, always into the lightest bucket).
-    /// Buckets are never empty unless there are fewer tiles than
-    /// workers.
-    pub fn balanced_buckets(&self, workers: usize) -> Vec<Vec<Tile>> {
-        balanced_partition(self.tiles.clone(), workers, |t| t.comparisons())
+    /// The CPU engine's work units for `workers` workers: every tile
+    /// cut into row bands ([`Tile::bands`]), in plan order. The band
+    /// height, `⌈Σ tile rows / (2·workers)⌉` clamped to `1..=64`, aims
+    /// at two or more bands per worker to balance while capping a
+    /// worker's count buffer at `64 × k` counts (1 MiB at k = 2048).
+    pub fn bands(&self, workers: usize) -> Vec<Tile> {
+        let rows: usize = self.tiles.iter().map(|t| t.rows).sum();
+        let height = rows.div_ceil(2 * workers.max(1)).clamp(1, MAX_BAND_ROWS);
+        self.tiles.iter().flat_map(|t| t.bands(height)).collect()
     }
 }
+
+/// Most rows in one CPU band (see [`TilePlan::bands`]).
+const MAX_BAND_ROWS: usize = 64;
 
 /// Partition `items` into at most `workers` cost-balanced buckets by
 /// the longest-processing-time greedy rule: heaviest item first (input
@@ -112,8 +114,8 @@ impl TilePlan {
 /// fewer items than workers.
 ///
 /// This is the work-partitioning rule every parallel phase of the
-/// mining engines shares: [`TilePlan::balanced_buckets`] applies it to
-/// tiles with the comparison-count cost model, and the levelwise
+/// mining engines shares: [`ParallelCpuExecutor`] applies it to row
+/// bands with the comparison-count cost model, and the levelwise
 /// miner's candidate counting (`crate::levelwise`) applies it to
 /// prefix-groups of Apriori candidates.
 pub fn balanced_partition<T>(
@@ -146,16 +148,19 @@ pub fn balanced_partition<T>(
         .collect()
 }
 
-/// Where tile results land. One consumer per worker thread; the
-/// executor merges the locals at the end via [`TileConsumer::absorb`].
+/// Where tile results land. One consumer per worker; the executor
+/// merges the locals at the end via [`TileConsumer::absorb`].
 pub trait TileConsumer: Send {
-    /// Fold one tile's row-major `rows × cols` counts. On a diagonal
-    /// tile only the strict-upper-triangle cells are meaningful.
+    /// Fold the row-major `rows × cols` counts of one unit of work — a
+    /// row band on the CPU engine, a whole tile on the GPU engine —
+    /// called once per unit. On a diagonal block only the cells with
+    /// global column > global row (`col_base + c > row_base + r`) are
+    /// meaningful.
     fn consume(&mut self, tile: &Tile, counts: &[u64]);
 
-    /// Merge another worker's accumulator into this one. Tiles are
+    /// Merge another worker's accumulator into this one. Units are
     /// partitioned across workers, so the two accumulators never share
-    /// a tile.
+    /// a cell.
     fn absorb(&mut self, other: Self)
     where
         Self: Sized;
@@ -164,26 +169,28 @@ pub trait TileConsumer: Send {
 /// Execution metadata common to every backend.
 #[derive(Debug, Clone)]
 pub struct ExecReport {
-    /// Stable engine name (`cpu-serial`, `cpu-parallel`, `gpu-sim`).
+    /// Stable engine name (`cpu`, `gpu-sim`).
     pub engine: &'static str,
-    /// Worker threads used (1 for serial and for the simulated GPU's
-    /// host loop).
+    /// Worker threads used (1 for the serial CPU engine and for the
+    /// simulated GPU's host loop).
     pub threads: usize,
-    /// Tile-comparison time in seconds: summed per-tile wall time for
-    /// the serial engine, wall time of the whole parallel region
-    /// (in-worker consumption included) for the parallel engine,
-    /// *simulated* device seconds for the GPU engine.
+    /// Tile-comparison time in seconds: for the CPU engine, wall time of
+    /// the whole sweep-and-consume region at every worker count (so it
+    /// includes the consumers' harvest); *simulated* device seconds for
+    /// the GPU engine.
     pub kernel_s: f64,
     /// One-time host→device transfer (simulated; 0 for CPU engines).
     pub transfer_s: f64,
-    /// Host seconds spent in [`TileConsumer::consume`], where the
-    /// executor can observe it separately (serial CPU and GPU paths;
-    /// folded into `kernel_s` for the parallel engine).
+    /// Host seconds spent in [`TileConsumer::consume`] by the GPU
+    /// engine, whose kernel time is simulated; 0 for the CPU engine,
+    /// which counts consumption inside `kernel_s`.
     pub consume_s: f64,
     /// Simulated device-resident bytes (0 for CPU engines).
     pub device_bytes: usize,
-    /// Largest per-tile result buffer, in bytes.
-    pub max_tile_buffer_bytes: usize,
+    /// Bytes of all count buffers live at once: the sum over workers of
+    /// each worker's largest buffer (one tile's buffer for the GPU
+    /// engine, which runs one tile at a time).
+    pub tile_buffer_bytes: usize,
     /// Folded GPU counters (`None` for CPU engines).
     pub gpu_stats: Option<KernelStats>,
     /// Tiles whose simulated time exceeded the device watchdog.
@@ -199,7 +206,7 @@ impl ExecReport {
             transfer_s: 0.0,
             consume_s: 0.0,
             device_bytes: 0,
-            max_tile_buffer_bytes: 0,
+            tile_buffer_bytes: 0,
             gpu_stats: None,
             watchdog_violations: 0,
         }
@@ -217,83 +224,32 @@ pub trait TileExecutor {
         F: Fn() -> C + Sync + Send;
 }
 
-/// Strictly sequential CPU execution (no worker threads).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SerialCpuExecutor;
-
-impl TileExecutor for SerialCpuExecutor {
-    fn execute<C, F>(&self, pre: &Preprocessed, plan: &TilePlan, make: F) -> (C, ExecReport)
-    where
-        C: TileConsumer,
-        F: Fn() -> C + Sync + Send,
-    {
-        let mut report = ExecReport::new("cpu-serial", 1);
-        let mut consumer = make();
-        for tile in plan.tiles() {
-            let mut sw = Stopwatch::start();
-            let counts = cpu::run_tile_cpu_serial(pre, tile);
-            report.kernel_s += sw.lap().as_secs_f64();
-            report.max_tile_buffer_bytes = report.max_tile_buffer_bytes.max(counts.len() * 8);
-            consumer.consume(tile, &counts);
-            report.consume_s += sw.lap().as_secs_f64();
-        }
-        (consumer, report)
-    }
-}
-
-/// Multicore CPU execution over the shared tile plan.
+/// CPU execution over row bands of the shared tile plan, on 1..N
+/// workers.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParallelCpuExecutor {
-    /// Worker-count knob ([`Parallelism::Auto`] follows `BATMAP_THREADS`
-    /// or the ambient rayon pool — so `hpcutil::scoped_pool` sweeps
-    /// keep working).
+    /// Worker-count knob ([`Parallelism::Serial`] runs on the calling
+    /// thread; [`Parallelism::Auto`] follows `BATMAP_THREADS` or the
+    /// ambient rayon pool — so `hpcutil::scoped_pool` sweeps keep
+    /// working).
     pub parallelism: Parallelism,
 }
 
-impl ParallelCpuExecutor {
-    /// Parallel body, run inside whichever pool `execute` selected.
-    fn run_tiles<C, F>(pre: &Preprocessed, plan: &TilePlan, make: &F, threads: usize) -> (C, usize)
-    where
-        C: TileConsumer,
-        F: Fn() -> C + Sync + Send,
-    {
-        if plan.tiles().len() < 2 * threads {
-            // Too few tiles to keep every worker busy: parallelize the
-            // rows inside each tile instead.
-            let mut consumer = make();
-            let mut max_buf = 0usize;
-            for tile in plan.tiles() {
-                let counts = cpu::run_tile_cpu_rows(pre, tile);
-                max_buf = max_buf.max(counts.len() * 8);
-                consumer.consume(tile, &counts);
-            }
-            (consumer, max_buf)
-        } else {
-            // Work-balanced tile buckets, one thread-local consumer
-            // per worker, merged at the end.
-            let locals: Vec<(C, usize)> = plan
-                .balanced_buckets(threads)
-                .into_par_iter()
-                .map(|bucket| {
-                    let mut consumer = make();
-                    let mut max_buf = 0usize;
-                    for tile in &bucket {
-                        let counts = cpu::run_tile_cpu_serial(pre, tile);
-                        max_buf = max_buf.max(counts.len() * 8);
-                        consumer.consume(tile, &counts);
-                    }
-                    (consumer, max_buf)
-                })
-                .collect();
-            let mut locals = locals.into_iter();
-            let (mut merged, mut max_buf) = locals.next().expect("at least one bucket");
-            for (local, buf) in locals {
-                merged.absorb(local);
-                max_buf = max_buf.max(buf);
-            }
-            (merged, max_buf)
-        }
+/// One worker's body: sweep each band into one reused buffer and hand
+/// it to the worker's consumer. Returns the consumer and the buffer's
+/// peak bytes.
+fn run_bands<C: TileConsumer>(
+    pre: &Preprocessed,
+    bands: &[Tile],
+    make: impl Fn() -> C,
+) -> (C, usize) {
+    let mut consumer = make();
+    let mut counts = Vec::new();
+    for band in bands {
+        cpu::run_band(pre, band, &mut counts);
+        consumer.consume(band, &counts);
     }
+    (consumer, counts.capacity() * 8)
 }
 
 impl TileExecutor for ParallelCpuExecutor {
@@ -303,20 +259,29 @@ impl TileExecutor for ParallelCpuExecutor {
         F: Fn() -> C + Sync + Send,
     {
         let threads = self.parallelism.resolve_with(rayon::current_num_threads());
-        if threads <= 1 || plan.tiles().is_empty() {
-            let (consumer, mut report) = SerialCpuExecutor.execute(pre, plan, make);
-            report.engine = "cpu-parallel";
-            return (consumer, report);
-        }
-        let mut report = ExecReport::new("cpu-parallel", threads);
+        let mut report = ExecReport::new("cpu", threads);
         let mut sw = Stopwatch::start();
-        let (consumer, max_buf) = match self.parallelism.pinned() {
-            Some(n) => hpcutil::scoped_pool(n, || Self::run_tiles(pre, plan, &make, threads)),
-            None => Self::run_tiles(pre, plan, &make, threads),
+        let buckets = balanced_partition(plan.bands(threads), threads, Tile::comparisons);
+        let run = || -> Vec<(C, usize)> {
+            buckets
+                .into_par_iter()
+                .map(|bucket| run_bands(pre, &bucket, &make))
+                .collect()
         };
+        let locals = match self.parallelism.pinned() {
+            Some(n) => hpcutil::scoped_pool(n, run),
+            None => run(),
+        };
+        let mut merged: Option<C> = None;
+        for (local, buffer_bytes) in locals {
+            report.tile_buffer_bytes += buffer_bytes;
+            match &mut merged {
+                Some(m) => m.absorb(local),
+                None => merged = Some(local),
+            }
+        }
         report.kernel_s = sw.lap().as_secs_f64();
-        report.max_tile_buffer_bytes = max_buf;
-        (consumer, report)
+        (merged.unwrap_or_else(make), report)
     }
 }
 
@@ -345,8 +310,7 @@ impl TileExecutor for GpuSimExecutor<'_> {
         let mut consumer = make();
         for tile in plan.tiles() {
             let result = gpu::run_tile_queued(&mut queue, &data, *tile);
-            report.max_tile_buffer_bytes =
-                report.max_tile_buffer_bytes.max(result.counts.len() * 8);
+            report.tile_buffer_bytes = report.tile_buffer_bytes.max(result.counts.len() * 8);
             let mut sw = Stopwatch::start();
             consumer.consume(tile, &result.counts);
             report.consume_s += sw.lap().as_secs_f64();
@@ -365,8 +329,8 @@ mod tests {
     use crate::preprocess::preprocess;
     use fim::{TransactionDb, VerticalDb};
 
-    /// Collects every useful (strict-upper-triangle, non-zero-eligible)
-    /// cell as a global `(row, col) → count` pair list.
+    /// Collects every meaningful cell (global column > global row) as a
+    /// global `(row, col) → count` pair list.
     #[derive(Default)]
     struct CellSink {
         cells: Vec<((u32, u32), u64)>,
@@ -375,11 +339,13 @@ mod tests {
     impl TileConsumer for CellSink {
         fn consume(&mut self, tile: &Tile, counts: &[u64]) {
             for r in 0..tile.rows {
-                let first = if tile.is_diagonal() { r + 1 } else { 0 };
-                for c in first..tile.cols {
-                    let gi = (tile.row_base + r) as u32;
-                    let gj = (tile.col_base + c) as u32;
-                    self.cells.push(((gi, gj), counts[r * tile.cols + c]));
+                let gi = tile.row_base + r;
+                for c in 0..tile.cols {
+                    let gj = tile.col_base + c;
+                    if gj > gi {
+                        self.cells
+                            .push(((gi as u32, gj as u32), counts[r * tile.cols + c]));
+                    }
                 }
             }
         }
@@ -417,11 +383,18 @@ mod tests {
             plan.tiles().iter().map(|t| t.rows * t.cols).sum::<usize>()
         );
         for workers in 1..8 {
-            let buckets = plan.balanced_buckets(workers);
-            assert!(buckets.len() <= workers);
+            let bands = plan.bands(workers);
+            assert!(bands.len() >= 2 * workers, "every worker gets two bands");
+            assert!(bands.iter().all(|b| b.rows <= MAX_BAND_ROWS));
+            assert_eq!(
+                bands.iter().map(Tile::comparisons).sum::<usize>(),
+                plan.reported_comparisons(),
+                "bands cover the plan's cells exactly once"
+            );
+            let buckets = balanced_partition(bands.clone(), workers, Tile::comparisons);
+            assert_eq!(buckets.len(), workers);
             let total: usize = buckets.iter().map(Vec::len).sum();
-            assert_eq!(total, plan.tiles().len(), "every tile exactly once");
-            assert!(buckets.iter().all(|b| !b.is_empty()));
+            assert_eq!(total, bands.len(), "every band exactly once");
         }
     }
 
@@ -430,23 +403,14 @@ mod tests {
         let pre = fixture();
         for k in [16usize, 32, 2048] {
             let plan = TilePlan::new(pre.padded_items(), k);
-            let (serial, s_rep) = SerialCpuExecutor.execute(&pre, &plan, CellSink::default);
-            let expect = sorted_cells(serial);
-            assert_eq!(s_rep.engine, "cpu-serial");
-            assert_eq!(s_rep.threads, 1);
-            for threads in [2usize, 3, 5, 8] {
-                let exec = ParallelCpuExecutor {
-                    parallelism: Parallelism::threads(threads),
-                };
-                let (par, p_rep) = exec.execute(&pre, &plan, CellSink::default);
-                assert_eq!(p_rep.engine, "cpu-parallel");
-                assert_eq!(p_rep.threads, threads);
-                assert_eq!(
-                    sorted_cells(par),
-                    expect,
-                    "k={k} threads={threads} must match serial"
-                );
+            // Independent reference: the full-square tile sweep, cut to
+            // its strict upper triangle.
+            let mut reference = CellSink::default();
+            for tile in plan.tiles() {
+                reference.consume(tile, &cpu::run_tile_cpu(&pre, tile));
             }
+            let expect = sorted_cells(reference);
+            assert_eq!(expect.len(), plan.reported_comparisons());
             let gpu = GpuSimExecutor {
                 device: &DeviceSpec::gtx285(),
             };
@@ -454,6 +418,19 @@ mod tests {
             assert_eq!(sorted_cells(gpu_sink), expect, "k={k} gpu-sim");
             assert!(g_rep.gpu_stats.is_some());
             assert!(g_rep.transfer_s > 0.0);
+            for threads in [1usize, 2, 3, 5, 8] {
+                let exec = ParallelCpuExecutor {
+                    parallelism: Parallelism::threads(threads),
+                };
+                let (cpu_sink, c_rep) = exec.execute(&pre, &plan, CellSink::default);
+                assert_eq!(c_rep.engine, "cpu");
+                assert_eq!(c_rep.threads, threads);
+                assert_eq!(
+                    sorted_cells(cpu_sink),
+                    expect,
+                    "k={k} threads={threads} must match the reference"
+                );
+            }
         }
     }
 
@@ -485,7 +462,7 @@ mod tests {
             parallelism: Parallelism::Serial,
         };
         let (_, report) = exec.execute(&pre, &plan, CellSink::default);
-        assert_eq!(report.engine, "cpu-parallel");
+        assert_eq!(report.engine, "cpu");
         assert_eq!(report.threads, 1);
     }
 }

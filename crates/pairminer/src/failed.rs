@@ -7,16 +7,27 @@
 //! every `a ∈ F_b, c ∈ A_b` form the pair `(min, max)` and store it in a
 //! set `M_{p,q}` keyed by the tile that owns the pair; when `Z_{p,q}`
 //! returns from the GPU, extend it with `M_{p,q}`'s pairs.
+//!
+//! Each `M_{p,q}` is a run of one `Vec`, sorted by `(sᵢ, sⱼ)` — the
+//! row-major order a tile is walked in — so a row band of the tile
+//! finds its own pairs with a binary search ([`FailedPairs::for_band`])
+//! and the harvest merges them by position, with no lookup per count.
 
 use crate::schedule::Tile;
 use fim::TransactionDb;
-use hpcutil::{FxHashMap, FxHashSet};
+
+/// One missing pair: `((sᵢ, sⱼ), missing count)`, `sᵢ < sⱼ` sorted
+/// indices.
+pub type MissingPair = ((u32, u32), u64);
 
 /// Missing pair counts, bucketed per tile `(p, q)` in sorted-item space.
 #[derive(Debug, Clone, Default)]
 pub struct FailedPairs {
-    /// `(p, q) → ((sᵢ, sⱼ) → missing count)`, `sᵢ < sⱼ` sorted indices.
-    tiles: FxHashMap<(u32, u32), FxHashMap<(u32, u32), u64>>,
+    /// Tile side the pairs are bucketed by.
+    k: usize,
+    /// Every missing pair, sorted by owning tile `(sᵢ / k, sⱼ / k)`,
+    /// then by `(sᵢ, sⱼ)`.
+    pairs: Vec<MissingPair>,
     /// Total missing pair-occurrences (for reporting).
     total: u64,
 }
@@ -34,44 +45,56 @@ impl FailedPairs {
         item_to_sorted: &[u32],
         k: usize,
     ) -> Self {
-        let mut by_tid: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-        for &(s, tid) in failed {
-            by_tid.entry(tid).or_default().push(s);
-        }
-        let mut out = FailedPairs::default();
-        for (&tid, f_b) in &by_tid {
-            let a_b: Vec<u32> = db.transactions()[tid as usize]
-                .iter()
-                .map(|&item| item_to_sorted[item as usize])
-                .collect();
-            // Set semantics per transaction: if both endpoints failed,
-            // the pair appears from both sides of F_b × A_b — count it
-            // once ("store each pair in a set").
-            let mut pairs_of_b: FxHashSet<(u32, u32)> = FxHashSet::default();
-            for &a in f_b {
-                for &c in &a_b {
+        let mut by_tid: Vec<(u32, u32)> = failed.iter().map(|&(s, tid)| (tid, s)).collect();
+        by_tid.sort_unstable();
+        let mut occurrences: Vec<(u32, u32)> = Vec::new();
+        let mut pairs_of_b: Vec<(u32, u32)> = Vec::new();
+        for f_b in by_tid.chunk_by(|x, y| x.0 == y.0) {
+            let a_b = &db.transactions()[f_b[0].0 as usize];
+            pairs_of_b.clear();
+            for &(_, a) in f_b {
+                for &item in a_b {
+                    let c = item_to_sorted[item as usize];
                     if a != c {
-                        pairs_of_b.insert((a.min(c), a.max(c)));
+                        pairs_of_b.push((a.min(c), a.max(c)));
                     }
                 }
             }
-            for (si, sj) in pairs_of_b {
-                let key = ((si as usize / k) as u32, (sj as usize / k) as u32);
-                *out.tiles
-                    .entry(key)
-                    .or_default()
-                    .entry((si, sj))
-                    .or_insert(0) += 1;
-                out.total += 1;
-            }
+            // Set semantics per transaction: if both endpoints failed,
+            // the pair appears from both sides of F_b × A_b — count it
+            // once ("store each pair in a set").
+            pairs_of_b.sort_unstable();
+            pairs_of_b.dedup();
+            occurrences.extend_from_slice(&pairs_of_b);
         }
-        out
+        let tile_of = |si: u32, sj: u32| (si as usize / k, sj as usize / k);
+        occurrences.sort_unstable_by_key(|&(si, sj)| (tile_of(si, sj), si, sj));
+        FailedPairs {
+            k,
+            pairs: occurrences
+                .chunk_by(|x, y| x == y)
+                .map(|run| (run[0], run.len() as u64))
+                .collect(),
+            total: occurrences.len() as u64,
+        }
     }
 
-    /// Missing counts belonging to one tile (None when the tile is
-    /// clean — the common case).
-    pub fn for_tile(&self, tile: &Tile) -> Option<&FxHashMap<(u32, u32), u64>> {
-        self.tiles.get(&(tile.p, tile.q))
+    /// Missing counts owned by one tile, or by one row band of it:
+    /// the pairs whose `sᵢ` lies in the band's rows, sorted by
+    /// `(sᵢ, sⱼ)` (empty when the band is clean — the common case).
+    pub fn for_band(&self, band: &Tile) -> &[MissingPair] {
+        let k = self.k;
+        let tile = (band.p as usize, band.q as usize);
+        let before = |row: usize| {
+            move |&((si, sj), _): &MissingPair| {
+                ((si as usize / k, sj as usize / k), si as usize) < (tile, row)
+            }
+        };
+        let lo = self.pairs.partition_point(before(band.row_base));
+        let hi = self
+            .pairs
+            .partition_point(before(band.row_base + band.rows));
+        &self.pairs[lo..hi]
     }
 
     /// Total missing pair-occurrences across all tiles.
@@ -81,7 +104,7 @@ impl FailedPairs {
 
     /// True when no insertion failed.
     pub fn is_empty(&self) -> bool {
-        self.tiles.is_empty()
+        self.pairs.is_empty()
     }
 }
 
@@ -93,11 +116,24 @@ mod tests {
         TransactionDb::new(4, vec![vec![0, 1, 2], vec![1, 2, 3], vec![0, 3]])
     }
 
+    /// Tile `(p, q)` of side 16.
+    fn tile(p: u32, q: u32) -> Tile {
+        Tile {
+            p,
+            q,
+            row_base: p as usize * 16,
+            col_base: q as usize * 16,
+            rows: 16,
+            cols: 16,
+        }
+    }
+
     #[test]
     fn empty_failures_empty_pairs() {
         let f = FailedPairs::build(&[], &db(), &[0, 1, 2, 3], 16);
         assert!(f.is_empty());
         assert_eq!(f.total(), 0);
+        assert!(f.for_band(&tile(0, 0)).is_empty());
     }
 
     #[test]
@@ -106,53 +142,26 @@ mod tests {
         // A_0 = {0,1,2} → pairs (0,1) and (1,2), each missing once.
         let f = FailedPairs::build(&[(1, 0)], &db(), &[0, 1, 2, 3], 16);
         assert_eq!(f.total(), 2);
-        let tile = Tile {
-            p: 0,
-            q: 0,
-            row_base: 0,
-            col_base: 0,
-            rows: 16,
-            cols: 16,
-        };
-        let m = f.for_tile(&tile).unwrap();
-        assert_eq!(m[&(0, 1)], 1);
-        assert_eq!(m[&(1, 2)], 1);
-        assert_eq!(m.len(), 2);
+        assert_eq!(f.for_band(&tile(0, 0)), [((0, 1), 1), ((1, 2), 1)]);
     }
 
     #[test]
     fn double_failure_counted_once_per_transaction() {
         // Both items 1 and 2 failed tid 0: pair (1,2) must appear once,
-        // not twice (the paper's min/max set trick).
+        // not twice (the paper's min/max set trick); (0,1), (0,2) are
+        // also missing once each.
         let f = FailedPairs::build(&[(1, 0), (2, 0)], &db(), &[0, 1, 2, 3], 16);
-        let tile = Tile {
-            p: 0,
-            q: 0,
-            row_base: 0,
-            col_base: 0,
-            rows: 16,
-            cols: 16,
-        };
-        let m = f.for_tile(&tile).unwrap();
-        assert_eq!(m[&(1, 2)], 1);
-        // (0,1), (0,2) also missing once each.
-        assert_eq!(m[&(0, 1)], 1);
-        assert_eq!(m[&(0, 2)], 1);
+        assert_eq!(
+            f.for_band(&tile(0, 0)),
+            [((0, 1), 1), ((0, 2), 1), ((1, 2), 1)]
+        );
     }
 
     #[test]
     fn same_pair_from_two_transactions_accumulates() {
         // Item 1 failed tids 0 and 1; both transactions contain item 2.
         let f = FailedPairs::build(&[(1, 0), (1, 1)], &db(), &[0, 1, 2, 3], 16);
-        let tile = Tile {
-            p: 0,
-            q: 0,
-            row_base: 0,
-            col_base: 0,
-            rows: 16,
-            cols: 16,
-        };
-        assert_eq!(f.for_tile(&tile).unwrap()[&(1, 2)], 2);
+        assert!(f.for_band(&tile(0, 0)).contains(&((1, 2), 2)));
     }
 
     #[test]
@@ -160,24 +169,30 @@ mod tests {
         // Sorted space reshuffled: item 0→17, 1→1, 2→2, 3→3 with k=16:
         // pair (1,17) lands in tile (0,1).
         let f = FailedPairs::build(&[(1, 0)], &db(), &[17, 1, 2, 3], 16);
-        let t01 = Tile {
-            p: 0,
-            q: 1,
-            row_base: 0,
-            col_base: 16,
-            rows: 16,
-            cols: 16,
+        assert_eq!(f.for_band(&tile(0, 1)), [((1, 17), 1)]);
+        assert_eq!(f.for_band(&tile(0, 0)), [((1, 2), 1)]);
+        assert!(f.for_band(&tile(1, 1)).is_empty());
+    }
+
+    #[test]
+    fn bands_split_a_tiles_pairs_by_row() {
+        // Item 1 failed tids 0 and 1; item 2 failed tid 1:
+        // (0,1) (1,2) from tid 0, (1,2) (1,3) (2,3) from tid 1.
+        let f = FailedPairs::build(&[(1, 0), (1, 1), (2, 1)], &db(), &[0, 1, 2, 3], 16);
+        let whole = f.for_band(&tile(0, 0));
+        assert_eq!(whole, [((0, 1), 1), ((1, 2), 2), ((1, 3), 1), ((2, 3), 1)]);
+        let band = |row_base, rows| Tile {
+            row_base,
+            rows,
+            ..tile(0, 0)
         };
-        let m = f.for_tile(&t01).unwrap();
-        assert_eq!(m[&(1, 17)], 1);
-        let t00 = Tile {
-            p: 0,
-            q: 0,
-            row_base: 0,
-            col_base: 0,
-            rows: 16,
-            cols: 16,
-        };
-        assert_eq!(f.for_tile(&t00).unwrap()[&(1, 2)], 1);
+        assert_eq!(f.for_band(&band(0, 1)), [((0, 1), 1)]);
+        assert_eq!(f.for_band(&band(1, 1)), [((1, 2), 2), ((1, 3), 1)]);
+        assert_eq!(f.for_band(&band(2, 14)), [((2, 3), 1)]);
+        let mut rejoined = Vec::new();
+        for b in tile(0, 0).bands(3) {
+            rejoined.extend_from_slice(f.for_band(&b));
+        }
+        assert_eq!(rejoined, whole, "bands partition the tile's pairs");
     }
 }

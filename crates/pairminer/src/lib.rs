@@ -35,8 +35,8 @@ pub mod schedule;
 
 pub use batmap::{Parallelism, ReprPolicy, SetRepr};
 pub use executor::{
-    balanced_partition, ExecReport, GpuSimExecutor, ParallelCpuExecutor, SerialCpuExecutor,
-    TileConsumer, TileExecutor, TilePlan,
+    balanced_partition, ExecReport, GpuSimExecutor, ParallelCpuExecutor, TileConsumer,
+    TileExecutor, TilePlan,
 };
 pub use ingest::{CompactionJob, IngestError, LayeredCorpus, WindowedMiner};
 pub use levelwise::{LevelReport, LevelwiseConfig, LevelwiseMiner, LevelwiseReport};

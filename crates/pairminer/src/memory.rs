@@ -15,7 +15,10 @@ pub struct MemoryReport {
     pub preprocessed_bytes: usize,
     /// Device-resident buffer (same data as the batmaps, packed).
     pub device_bytes: usize,
-    /// One tile's result matrix (`rows × cols × 8`).
+    /// Count buffers live at once while the tiles run: on the CPU
+    /// engine, the sum over workers of each worker's largest band
+    /// buffer (`rows × cols × 8`); on the GPU engine, one tile's
+    /// result matrix.
     pub tile_buffer_bytes: usize,
     /// Failed-pair side structures.
     pub failed_bytes: usize,
@@ -23,7 +26,7 @@ pub struct MemoryReport {
 
 impl MemoryReport {
     /// Peak live bytes: preprocessing holds tidlists + batmaps at once;
-    /// mining holds batmaps + device copy + one tile buffer + failure
+    /// mining holds batmaps + device copy + the tile buffers + failure
     /// sets. The maximum of the two phases is the figure's number.
     pub fn peak_bytes(&self) -> usize {
         let preprocessing = self.tidlists_bytes + self.preprocessed_bytes;

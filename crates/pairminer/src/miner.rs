@@ -1,14 +1,12 @@
 //! The top-level pair miner: preprocessing → tiling → kernel →
 //! postprocessing, with full timing and memory accounting.
 
-use crate::executor::{
-    GpuSimExecutor, ParallelCpuExecutor, SerialCpuExecutor, TileConsumer, TileExecutor, TilePlan,
-};
-use crate::failed::FailedPairs;
+use crate::executor::{GpuSimExecutor, ParallelCpuExecutor, TileConsumer, TileExecutor, TilePlan};
+use crate::failed::{FailedPairs, MissingPair};
 use crate::memory::MemoryReport;
 use crate::preprocess::{preprocess_with, Preprocessed};
 use crate::schedule::Tile;
-use batmap::{EngineOptions, Parallelism, ReprPolicy};
+use batmap::{EngineOptions, ReprPolicy};
 use fim::pairs::{pair_key, PairMap};
 use fim::{TransactionDb, VerticalDb};
 use gpu_sim::{DeviceSpec, KernelStats};
@@ -44,8 +42,8 @@ pub struct MinerConfig {
     /// (explicit > `BATMAP_*` environment > auto). The kernel drives
     /// both engines' dispatch; the threads knob drives batmap
     /// construction for both engines and tile execution for the CPU
-    /// engine ([`Parallelism::Serial`] selects the strictly sequential
-    /// tile walk, `Auto` follows the ambient rayon pool so
+    /// engine ([`batmap::Parallelism::Serial`] runs the band walk on
+    /// the calling thread, `Auto` follows the ambient rayon pool so
     /// `hpcutil::scoped_pool(cores, …)` sweeps keep working); the repr
     /// policy shapes the preprocessed corpus (`Hybrid` picks
     /// batmap/bitmap/tidlist per set by density — the GPU engine needs
@@ -76,12 +74,13 @@ pub struct Timings {
     /// One-time host→device transfer (simulated; 0 for CPU engine).
     pub transfer_s: f64,
     /// Tile comparison time: simulated device seconds for the GPU
-    /// engine, summed per-tile wall time for the serial CPU engine, and
-    /// wall time of the whole parallel region (in-worker harvesting
-    /// included) for the parallel CPU engine.
+    /// engine; for the CPU engine, at every worker count, wall time of
+    /// the whole band region, in-worker harvesting and failed-pair
+    /// merging included.
     pub kernel_s: f64,
-    /// Result harvesting + failed-pair merging + remapping, where the
-    /// engine can observe it separately from `kernel_s`.
+    /// The original-id remap, plus (GPU engine only) the host-side
+    /// harvesting and failed-pair merging that the CPU engine counts in
+    /// `kernel_s`.
     pub postprocess_s: f64,
 }
 
@@ -117,10 +116,10 @@ pub struct MiningReport {
     pub watchdog_violations: usize,
 }
 
-/// The miner's [`TileConsumer`]: folds each tile's counts straight into
-/// a sparse sorted-space pair map via [`harvest_tile`]. One instance per
-/// worker thread; workers own disjoint tiles, so merging is a plain
-/// union.
+/// The miner's [`TileConsumer`]: folds each band's (or tile's) counts
+/// straight into a sparse sorted-space pair map via [`harvest_tile`].
+/// One instance per worker; workers own disjoint bands, so merging is a
+/// plain union.
 struct HarvestConsumer<'a> {
     pre: &'a Preprocessed,
     failed: &'a FailedPairs,
@@ -134,14 +133,14 @@ impl TileConsumer for HarvestConsumer<'_> {
             tile,
             counts,
             self.pre,
-            self.failed,
+            self.failed.for_band(tile),
             self.minsup,
             &mut self.out,
         );
     }
 
     fn absorb(&mut self, other: Self) {
-        // Tiles partition the pair space, so keys never collide across
+        // Bands partition the pair space, so keys never collide across
         // workers; `+=` keeps the merge robust regardless.
         for (key, support) in other.out {
             *self.out.entry(key).or_insert(0) += support;
@@ -240,10 +239,10 @@ fn mine_over(
     };
     let (harvested, exec) = match &config.engine {
         Engine::Gpu(device) => GpuSimExecutor { device }.execute(pre, &plan, make),
-        Engine::Cpu => match config.options.threads {
-            Parallelism::Serial => SerialCpuExecutor.execute(pre, &plan, make),
-            parallelism => ParallelCpuExecutor { parallelism }.execute(pre, &plan, make),
-        },
+        Engine::Cpu => ParallelCpuExecutor {
+            parallelism: config.options.threads,
+        }
+        .execute(pre, &plan, make),
     };
     let sorted_pairs = harvested.out;
     let mut postprocess_s = exec.consume_s;
@@ -263,7 +262,7 @@ fn mine_over(
         tidlists_bytes,
         preprocessed_bytes: pre.heap_bytes(),
         device_bytes: exec.device_bytes,
-        tile_buffer_bytes: exec.max_tile_buffer_bytes,
+        tile_buffer_bytes: exec.tile_buffer_bytes,
         failed_bytes: pre.failed.capacity() * 8,
     };
     MiningReport {
@@ -283,61 +282,53 @@ fn mine_over(
     }
 }
 
-/// Fold one tile's dense counts into the sparse sorted-space pair map:
-/// apply the diagonal triangle filter, drop padding items, merge the
-/// tile's `M_{p,q}` missing pairs, and threshold by `minsup` — all in
-/// one pass, mirroring the paper's "extend Z_{p,q} with M_{p,q} before
-/// reporting" streaming postprocess.
+/// Fold one band's (or tile's) dense counts into the sparse
+/// sorted-space pair map: apply the diagonal triangle filter, drop
+/// padding items, merge the band's `M_{p,q}` missing pairs, and
+/// threshold by `minsup` — all in one pass, mirroring the paper's
+/// "extend Z_{p,q} with M_{p,q} before reporting" streaming postprocess.
+///
+/// `extras` are sorted by `(sᵢ, sⱼ)`, the order the band's cells are
+/// walked in, so they merge by position. Every missing pair has
+/// `sᵢ < sⱼ < n_items` and so lies on a visited cell.
 fn harvest_tile(
     tile: &Tile,
     counts: &[u64],
     pre: &Preprocessed,
-    failed: &FailedPairs,
+    extras: &[MissingPair],
     minsup: u64,
     out: &mut PairMap,
 ) {
     let n = pre.n_items as usize;
     let minsup = minsup.max(1);
-    // The tile's missing pairs (rare): cloned so consumed entries can
-    // be removed, leaving only pairs whose kernel count was zero.
-    let mut extras = failed.for_tile(tile).cloned().unwrap_or_default();
+    // Columns past the last real item are padding.
+    let cols = tile.cols.min(n.saturating_sub(tile.col_base));
+    let mut extras = extras.iter().peekable();
     for i in 0..tile.rows {
         let gi = tile.row_base + i;
         if gi >= n {
             break; // padding rows are at the end of the sorted order
         }
+        let first = tile.first_reported_col(i);
         let row = &counts[i * tile.cols..(i + 1) * tile.cols];
-        for (j, &c) in row.iter().enumerate() {
-            let gj = tile.col_base + j;
-            if gj >= n {
-                break;
-            }
-            if tile.is_diagonal() && gj <= gi {
-                continue;
-            }
-            let key = (gi as u32, gj as u32);
-            let c = if extras.is_empty() {
-                c
-            } else {
-                c + extras.remove(&key).unwrap_or(0)
+        for (j, &c) in row.iter().enumerate().take(cols).skip(first) {
+            let key = (gi as u32, (tile.col_base + j) as u32);
+            let c = match extras.next_if(|(at, _)| *at == key) {
+                Some((_, extra)) => c + extra,
+                None => c,
             };
             if c >= minsup {
                 out.insert(key, c);
             }
         }
     }
-    // Pairs every one of whose co-occurrences went through the failure
-    // path (kernel count 0): still subject to the same threshold.
-    for ((si, sj), c) in extras {
-        if (si as usize) < n && (sj as usize) < n && c >= minsup {
-            *out.entry((si, sj)).or_insert(0) += c;
-        }
-    }
+    debug_assert!(extras.next().is_none(), "a missing pair missed its cell");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batmap::Parallelism;
     use fim::pairs::brute_force_pairs;
 
     fn test_db(n: u32, m: usize, modulus: u32) -> TransactionDb {
@@ -457,6 +448,86 @@ mod tests {
             "expected forced failures with MaxLoop=1"
         );
         assert_eq!(report.pairs, brute_force_pairs(&db, 1));
+    }
+
+    #[test]
+    fn failed_pair_repair_is_exact_across_bands() {
+        // The same forced-failure database as above, on the CPU engine
+        // with tiles small enough that the executor cuts each into
+        // several row bands: each band must merge exactly its own rows'
+        // missing pairs. The corpus is pinned all-batmap, so a hybrid
+        // policy from the environment cannot move the failing sets to
+        // failure-free layouts.
+        let db = test_db(24, 3000, 30);
+        let oracle = brute_force_pairs(&db, 1);
+        let mut split_tiles = 0;
+        for k in [16usize, 32] {
+            for threads in [
+                Parallelism::Serial,
+                Parallelism::threads(2),
+                Parallelism::threads(3),
+            ] {
+                let config = MinerConfig {
+                    k,
+                    max_loop: 1,
+                    engine: Engine::Cpu,
+                    options: EngineOptions::auto()
+                        .repr(ReprPolicy::Batmap)
+                        .threads(threads),
+                    ..Default::default()
+                };
+                let report = mine(&db, &config);
+                assert!(
+                    report.failed_pair_occurrences > 0,
+                    "expected forced failures"
+                );
+                assert_eq!(report.pairs, oracle, "k={k} threads={threads:?}");
+
+                // The bands this run used: some tile's missing pairs
+                // must straddle two or more of its bands.
+                let pre = preprocess_with(
+                    &VerticalDb::from_horizontal(&db),
+                    config.seed,
+                    config.max_loop,
+                    config.options,
+                );
+                let failed = FailedPairs::build(&pre.failed, &db, &pre.item_to_sorted, k);
+                let plan = TilePlan::new(pre.padded_items(), k);
+                let bands = plan.bands(report.threads);
+                split_tiles += plan
+                    .tiles()
+                    .iter()
+                    .filter(|t| {
+                        bands
+                            .iter()
+                            .filter(|b| (b.p, b.q) == (t.p, t.q) && !failed.for_band(b).is_empty())
+                            .count()
+                            >= 2
+                    })
+                    .count();
+            }
+        }
+        assert!(split_tiles > 0, "no tile's missing pairs spanned two bands");
+    }
+
+    #[test]
+    fn memory_report_counts_every_workers_buffer() {
+        // 40 items at k = 16: 6 tiles for 2 workers, and every band is a
+        // whole 16 × 16 tile. Both workers hold a buffer at once.
+        let db = test_db(40, 300, 7);
+        let k = 16;
+        let report = mine(
+            &db,
+            &MinerConfig {
+                k,
+                engine: Engine::Cpu,
+                options: EngineOptions::auto().threads(Parallelism::threads(2)),
+                ..Default::default()
+            },
+        );
+        assert_eq!(report.threads, 2);
+        assert!(TilePlan::new(48, k).tiles().len() >= 2 * report.threads);
+        assert_eq!(report.memory.tile_buffer_bytes, 2 * k * k * 8);
     }
 
     #[test]

@@ -9,7 +9,11 @@
 
 use serde::{Deserialize, Serialize};
 
-/// One tile `Z_{p,q}` of the comparison matrix.
+/// One tile `Z_{p,q}` of the comparison matrix — or a row band of one.
+///
+/// The CPU engine cuts each scheduled tile into row bands: a band keeps
+/// the tile's `p`, `q` and column range and narrows `row_base`/`rows`
+/// to a contiguous run of the tile's rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Tile {
     /// Block-row index `p`.
@@ -20,7 +24,8 @@ pub struct Tile {
     pub row_base: usize,
     /// First sorted item index of the column range.
     pub col_base: usize,
-    /// Rows in this tile (multiple of 16).
+    /// Rows in this tile (a multiple of 16 for scheduled tiles; a band
+    /// may hold any number).
     pub rows: usize,
     /// Columns in this tile (multiple of 16).
     pub cols: usize,
@@ -33,25 +38,39 @@ impl Tile {
         self.p == self.q
     }
 
-    /// Number of pair comparisons this tile *reports*: the full
-    /// `rows × cols` rectangle off the diagonal, but only the strict
-    /// upper triangle on a diagonal tile — cells at or below the main
-    /// diagonal are filtered before reporting (`p = q` implies
-    /// `rows = cols` by construction). This is the executor's cost
-    /// model: a diagonal tile is roughly half the useful work of an
-    /// off-diagonal tile of the same size.
-    pub fn comparisons(&self) -> usize {
+    /// First tile-local column reported in local row `r`: `0` off the
+    /// diagonal; on a diagonal tile or band, the first cell with global
+    /// column > global row (cells at or below the main diagonal are
+    /// never reported). `cols` or more when the row reports nothing.
+    #[inline]
+    pub fn first_reported_col(&self, r: usize) -> usize {
         if self.is_diagonal() {
-            // Strictly-above-diagonal cells of the rows × cols
-            // rectangle (kept general for robustness; diagonal tiles
-            // are square in every schedule this module builds).
-            let side = self.rows.min(self.cols);
-            let at_or_below =
-                side * (side + 1) / 2 + self.rows.saturating_sub(self.cols) * self.cols;
-            self.rows * self.cols - at_or_below
+            (self.row_base + r + 1).saturating_sub(self.col_base)
         } else {
-            self.rows * self.cols
+            0
         }
+    }
+
+    /// Number of pair comparisons this tile *reports*: the full
+    /// `rows × cols` rectangle off the diagonal, but only the cells
+    /// right of [`Tile::first_reported_col`] on a diagonal tile or
+    /// band. This is the executor's cost model: a diagonal tile is
+    /// roughly half the useful work of an off-diagonal tile of the same
+    /// size.
+    pub fn comparisons(&self) -> usize {
+        (0..self.rows)
+            .map(|r| self.cols.saturating_sub(self.first_reported_col(r)))
+            .sum()
+    }
+
+    /// This tile cut into row bands of at most `height` rows, top to
+    /// bottom.
+    pub fn bands(&self, height: usize) -> impl Iterator<Item = Tile> + '_ {
+        (0..self.rows).step_by(height.max(1)).map(move |r| Tile {
+            row_base: self.row_base + r,
+            rows: height.max(1).min(self.rows - r),
+            ..*self
+        })
     }
 
     /// Number of comparisons the lockstep GPU kernel *executes* in this
@@ -171,6 +190,33 @@ mod tests {
         let off = schedule(128, 64)[1];
         assert!(!off.is_diagonal());
         assert_eq!(off.comparisons(), off.executed_comparisons());
+    }
+
+    #[test]
+    fn bands_partition_rows_and_comparisons() {
+        for tile in schedule(80, 32) {
+            for height in [1usize, 5, 16, 64] {
+                let bands: Vec<Tile> = tile.bands(height).collect();
+                let mut next = tile.row_base;
+                for b in &bands {
+                    assert_eq!(
+                        (b.p, b.q, b.col_base, b.cols),
+                        (tile.p, tile.q, tile.col_base, tile.cols)
+                    );
+                    assert_eq!(b.row_base, next, "bands are contiguous");
+                    assert!(b.rows >= 1 && b.rows <= height);
+                    next += b.rows;
+                }
+                assert_eq!(next, tile.row_base + tile.rows, "bands cover the tile");
+                assert_eq!(
+                    bands.iter().map(Tile::comparisons).sum::<usize>(),
+                    tile.comparisons(),
+                    "tile ({},{}) height {height}",
+                    tile.p,
+                    tile.q
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Property-based equivalence of the parallel tiled CPU engine against
-//! the strictly serial path: identical pair sets for arbitrary
-//! databases, thread counts, and tile sides, including the diagonal-
-//! tile deduplication.
+//! Property-based equivalence of the banded CPU engine across worker
+//! counts and against independent references: identical pair sets for
+//! arbitrary databases, thread counts, and tile sides, and cell-exact
+//! executor output against the full-square tile sweep and the
+//! simulated GPU, including the diagonal deduplication.
 
 use batmap::{EngineOptions, Parallelism};
+use gpu_sim::DeviceSpec;
+use pairminer::cpu::run_tile_cpu;
 use pairminer::{
-    mine, preprocess, Engine, MinerConfig, ParallelCpuExecutor, SerialCpuExecutor, Tile,
-    TileConsumer, TileExecutor, TilePlan,
+    mine, preprocess, Engine, GpuSimExecutor, MinerConfig, ParallelCpuExecutor, Tile, TileConsumer,
+    TileExecutor, TilePlan,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -30,8 +33,9 @@ fn sorted_pairs(report: pairminer::MiningReport) -> Vec<((u32, u32), u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The parallel CPU miner returns the exact same (sorted) pair set
-    /// as the serial path, for arbitrary thread counts and tile sides.
+    /// The CPU miner returns the exact same (sorted) pair set on any
+    /// worker count as on one, and the brute-force oracle's, for
+    /// arbitrary thread counts and tile sides.
     #[test]
     fn parallel_miner_matches_serial(
         db in arb_db(),
@@ -49,6 +53,7 @@ proptest! {
             ..Default::default()
         };
         let serial = mine(&db, &base);
+        prop_assert_eq!(&serial.pairs, &fim::pairs::brute_force_pairs(&db, minsup));
         let parallel = mine(&db, &MinerConfig {
             options: base.options.threads(Parallelism::threads(threads)),
             ..base
@@ -57,26 +62,29 @@ proptest! {
     }
 
     /// At the executor level: every useful cell is delivered exactly
-    /// once (diagonal tiles deduplicated to their strict upper
-    /// triangle) and with the same counts as the serial walk.
+    /// once (diagonal blocks deduplicated to their strict upper
+    /// triangle) and with the counts of the full-square tile sweep and
+    /// of the simulated GPU.
     #[test]
     fn executor_cells_are_exact_and_deduplicated(
         db in arb_db(),
         seed in 0u64..50,
         k_shift in 0u32..3,
-        threads in 2usize..9,
+        pick in 0usize..5,
     ) {
+        let threads = [1usize, 2, 3, 5, 8][pick];
+        /// Every cell with global column > global row.
         #[derive(Default)]
         struct Cells(Vec<((u32, u32), u64)>);
         impl TileConsumer for Cells {
             fn consume(&mut self, tile: &Tile, counts: &[u64]) {
                 for r in 0..tile.rows {
-                    let first = if tile.is_diagonal() { r + 1 } else { 0 };
-                    for c in first..tile.cols {
-                        self.0.push((
-                            ((tile.row_base + r) as u32, (tile.col_base + c) as u32),
-                            counts[r * tile.cols + c],
-                        ));
+                    let gi = tile.row_base + r;
+                    for c in 0..tile.cols {
+                        let gj = tile.col_base + c;
+                        if gj > gi {
+                            self.0.push(((gi as u32, gj as u32), counts[r * tile.cols + c]));
+                        }
                     }
                 }
             }
@@ -84,21 +92,30 @@ proptest! {
                 self.0.extend(other.0);
             }
         }
+        fn sorted(cells: Cells) -> Vec<((u32, u32), u64)> {
+            let mut cells = cells.0;
+            cells.sort_unstable();
+            cells
+        }
 
         let v = fim::VerticalDb::from_horizontal(&db);
         let pre = preprocess(&v, seed, 128);
         let plan = TilePlan::new(pre.padded_items(), 16 << k_shift);
-        let (serial, _) = SerialCpuExecutor.execute(&pre, &plan, Cells::default);
+        let mut reference = Cells::default();
+        for tile in plan.tiles() {
+            reference.consume(tile, &run_tile_cpu(&pre, tile));
+        }
+        let expect = sorted(reference);
+        let gpu = GpuSimExecutor { device: &DeviceSpec::gtx285() };
+        let (gpu_cells, _) = gpu.execute(&pre, &plan, Cells::default);
+        prop_assert_eq!(&sorted(gpu_cells), &expect);
+
         let executor = ParallelCpuExecutor {
             parallelism: Parallelism::threads(threads),
         };
-        let (parallel, report) = executor.execute(&pre, &plan, Cells::default);
+        let (cpu_cells, report) = executor.execute(&pre, &plan, Cells::default);
         prop_assert_eq!(report.threads, threads);
-
-        let mut expect = serial.0;
-        expect.sort_unstable();
-        let mut got = parallel.0;
-        got.sort_unstable();
+        let got = sorted(cpu_cells);
         // Same cells, same counts…
         prop_assert_eq!(&got, &expect);
         // …exactly the strict upper triangle, each cell once.
