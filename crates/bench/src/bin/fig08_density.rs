@@ -41,11 +41,9 @@ fn main() {
             Err(_) => None,
         };
         let (_, fp) = timer::time(|| fpgrowth::mine_pairs(&db, minsup));
-        // Representative batmap width: device bytes per item row.
-        // `comparisons` is exactly (n_padded choose 2), so n_padded
-        // recovers as isqrt(2c) + 1 (n(n-1) lies in ((n-1)^2, n^2)).
-        let n_padded = (2 * report.comparisons).isqrt() + 1;
-        let width = report.memory.device_bytes / n_padded.max(1);
+        // Representative batmap width: device bytes per uploaded set
+        // (the device holds only the sets the tile plan covers).
+        let width = report.memory.device_bytes / report.planned_items.max(1);
         table.row_owned(vec![
             format!("{density}"),
             format!("{:.4}", report.timings.kernel_s),

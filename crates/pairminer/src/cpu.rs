@@ -19,7 +19,8 @@ use batmap::intersect;
 use batmap::KernelBackend;
 use rayon::prelude::*;
 
-/// Counts for one tile computed on the CPU: row-major `rows × cols`,
+/// Counts for one tile of the identity plan (rows and columns are
+/// sorted positions) computed on the CPU: row-major `rows × cols`,
 /// identical layout to the GPU path (diagonal tiles compute their full
 /// square, exactly as the lockstep kernel does — this is the
 /// GPU-parity reference; the mining executor uses [`run_band`]).
@@ -49,23 +50,35 @@ pub fn run_tile_cpu(pre: &Preprocessed, tile: &Tile) -> Vec<u64> {
 /// to the band's row-major `rows × cols`, so one buffer serves every
 /// band a worker runs).
 ///
-/// On a diagonal band only the cells with global column > global row
-/// are computed (the §III-C symmetry saving, applied *inside* the
-/// tile); the rest keep whatever the buffer held. The backend is
-/// dispatched once per row, and a batmap row's words stay hot in
-/// registers/L1 while each equal-width candidate block is swept.
-pub fn run_band(pre: &Preprocessed, band: &Tile, counts: &mut Vec<u64>) {
+/// The band is in plan indices: plan index `i` is the set at sorted
+/// position `sets[i]` (the plan's [`crate::TilePlan::sets`]), and rows
+/// and columns past `sets.len()` are padding, never swept. On a
+/// diagonal band only the cells with global column > global row are
+/// computed (the §III-C symmetry saving, applied *inside* the tile);
+/// the rest keep whatever the buffer held. The backend is dispatched
+/// once per row, and a batmap row's words stay hot in registers/L1
+/// while each equal-width candidate block is swept.
+pub fn run_band(pre: &Preprocessed, sets: &[u32], band: &Tile, counts: &mut Vec<u64>) {
     counts.resize(band.rows * band.cols, 0);
-    let cols = pre
-        .arena
-        .payload_views(band.col_base..band.col_base + band.cols);
+    let col_end = (band.col_base + band.cols).min(sets.len());
+    let cols: Vec<_> = sets[band.col_base..col_end]
+        .iter()
+        .map(|&s| pre.payload(s as usize))
+        .collect();
     for (r, row_out) in counts.chunks_mut(band.cols).enumerate() {
+        let Some(&s) = sets.get(band.row_base + r) else {
+            break; // padding rows
+        };
         let first = band.first_reported_col(r);
-        if first >= band.cols {
+        if first >= cols.len() {
             continue; // the last row of a diagonal tile reports nothing
         }
-        let a = pre.payload(band.row_base + r);
-        intersect::count_mixed_one_vs_many_into(&a, &cols[first..], &mut row_out[first..]);
+        let a = pre.payload(s as usize);
+        intersect::count_mixed_one_vs_many_into(
+            &a,
+            &cols[first..],
+            &mut row_out[first..cols.len()],
+        );
     }
 }
 
@@ -156,11 +169,12 @@ mod tests {
     /// full-square sweep and the element-wise [`oracle`].
     fn check_bands_against_full_square(pre: &Preprocessed) {
         let mut counts = Vec::new();
+        let sets: Vec<u32> = (0..pre.padded_items() as u32).collect();
         for tile in schedule(pre.padded_items(), 16) {
             let full = run_tile_cpu(pre, &tile);
             for height in [1usize, 5, 16] {
                 for band in tile.bands(height) {
-                    run_band(pre, &band, &mut counts);
+                    run_band(pre, &sets, &band, &mut counts);
                     assert_eq!(counts.len(), band.rows * band.cols);
                     for r in 0..band.rows {
                         let gi = band.row_base + r;

@@ -1,9 +1,11 @@
 //! Backend-agnostic tile execution — the one scheduler both mining
 //! engines share.
 //!
-//! [`TilePlan`] wraps the §III-C k×k upper-triangle schedule with its
-//! cost model; a [`TileExecutor`] walks the plan and feeds row-major
-//! counts to [`TileConsumer`]s. Two executors implement the seam:
+//! [`TilePlan`] wraps the §III-C k×k upper-triangle schedule over a
+//! list of the corpus' sets with its cost model (the miner lists only
+//! the sets whose support reaches `minsup`); a [`TileExecutor`] walks
+//! the plan and feeds row-major counts to [`TileConsumer`]s. Two
+//! executors implement the seam:
 //!
 //! * [`ParallelCpuExecutor`] — host execution on 1..N workers, one code
 //!   path for every worker count. Its unit of work is a *row band* of a
@@ -23,7 +25,8 @@
 //! The contract consumers rely on: every cell of the plan is consumed
 //! exactly once, in one call per band (CPU) or per tile (GPU); on a
 //! diagonal block only cells with global column > global row carry
-//! meaningful counts (the rest are unspecified).
+//! meaningful counts, and cells in a padding row or column (plan index
+//! at or past `TilePlan::sets().len()`) are unspecified too.
 //!
 //! The CPU band runner (`pairminer::cpu::run_band`) feeds each row
 //! through the one-vs-many row driver
@@ -46,23 +49,50 @@ use gpu_sim::{DeviceSpec, KernelStats};
 use hpcutil::Stopwatch;
 use rayon::prelude::*;
 
-/// A tile schedule plus its cost model.
+/// A tile schedule over a list of the corpus' sets, plus its cost
+/// model.
+///
+/// Tiles are laid out in *plan indices*: plan index `i` is the set at
+/// sorted position [`TilePlan::sets`]`[i]`, and the indices from
+/// `sets().len()` up to [`TilePlan::n_padded`] are padding, which no
+/// consumer reports. The identity plan ([`TilePlan::new`]) lists every
+/// padded position of the corpus; the miner plans only the sets whose
+/// support reaches `minsup` ([`TilePlan::over`]), so an infrequent item
+/// is never swept.
 #[derive(Debug, Clone)]
 pub struct TilePlan {
-    n_padded: usize,
+    sets: Vec<u32>,
     k: usize,
     tiles: Vec<Tile>,
 }
 
 impl TilePlan {
-    /// Plan the k×k upper-triangle schedule for `n_padded` items
-    /// (multiple of 16) with tile side `k` (multiple of 16).
+    /// The identity plan: the k×k upper-triangle schedule over all
+    /// `n_padded` sorted positions (a multiple of 16) with tile side `k`
+    /// (a multiple of 16).
     pub fn new(n_padded: usize, k: usize) -> Self {
+        assert!(
+            n_padded.is_multiple_of(16),
+            "item count must be padded to a multiple of 16"
+        );
+        Self::over((0..n_padded as u32).collect(), k)
+    }
+
+    /// Plan the schedule over the given sorted positions (strictly
+    /// ascending), padded to a multiple of 16 plan indices, with tile
+    /// side `k` (a multiple of 16).
+    pub fn over(sets: Vec<u32>, k: usize) -> Self {
+        debug_assert!(sets.windows(2).all(|w| w[0] < w[1]), "ascending positions");
         TilePlan {
-            n_padded,
+            tiles: schedule(sets.len().next_multiple_of(crate::preprocess::BLOCK), k),
+            sets,
             k,
-            tiles: schedule(n_padded, k),
         }
+    }
+
+    /// The planned sets' sorted positions, by plan index (ascending).
+    pub fn sets(&self) -> &[u32] {
+        &self.sets
     }
 
     /// Tile side `k`.
@@ -70,9 +100,10 @@ impl TilePlan {
         self.k
     }
 
-    /// Padded item count the plan covers.
+    /// Plan indices the tiles cover: [`TilePlan::sets`] padded to a
+    /// multiple of 16.
     pub fn n_padded(&self) -> usize {
-        self.n_padded
+        self.sets.len().next_multiple_of(crate::preprocess::BLOCK)
     }
 
     /// The scheduled tiles, in `(p, q)` row-major order.
@@ -81,7 +112,8 @@ impl TilePlan {
     }
 
     /// Total *reported* pair comparisons — diagonal tiles count their
-    /// strict upper triangle only (exactly "(n_padded choose 2)").
+    /// strict upper triangle only (exactly "([`TilePlan::n_padded`]
+    /// choose 2)").
     pub fn reported_comparisons(&self) -> usize {
         crate::schedule::total_comparisons(&self.tiles)
     }
@@ -171,8 +203,8 @@ pub trait TileConsumer: Send {
 pub struct ExecReport {
     /// Stable engine name (`cpu`, `gpu-sim`).
     pub engine: &'static str,
-    /// Worker threads used (1 for the serial CPU engine and for the
-    /// simulated GPU's host loop).
+    /// Worker threads used: 1 for the CPU engine under
+    /// [`Parallelism::Serial`] and for the simulated GPU's host loop.
     pub threads: usize,
     /// Tile-comparison time in seconds: for the CPU engine, wall time of
     /// the whole sweep-and-consume region at every worker count (so it
@@ -240,13 +272,14 @@ pub struct ParallelCpuExecutor {
 /// peak bytes.
 fn run_bands<C: TileConsumer>(
     pre: &Preprocessed,
+    sets: &[u32],
     bands: &[Tile],
     make: impl Fn() -> C,
 ) -> (C, usize) {
     let mut consumer = make();
     let mut counts = Vec::new();
     for band in bands {
-        cpu::run_band(pre, band, &mut counts);
+        cpu::run_band(pre, sets, band, &mut counts);
         consumer.consume(band, &counts);
     }
     (consumer, counts.capacity() * 8)
@@ -265,7 +298,7 @@ impl TileExecutor for ParallelCpuExecutor {
         let run = || -> Vec<(C, usize)> {
             buckets
                 .into_par_iter()
-                .map(|bucket| run_bands(pre, &bucket, &make))
+                .map(|bucket| run_bands(pre, plan.sets(), &bucket, &make))
                 .collect()
         };
         let locals = match self.parallelism.pinned() {
@@ -285,8 +318,8 @@ impl TileExecutor for ParallelCpuExecutor {
     }
 }
 
-/// The §III-B comparison kernel on the simulated device: one upload,
-/// one launch per tile, timing and counters folded through a
+/// The §III-B comparison kernel on the simulated device: one upload of
+/// the planned sets, one launch per tile, timing and counters folded through a
 /// [`gpu_sim::CommandQueue`].
 #[derive(Debug, Clone, Copy)]
 pub struct GpuSimExecutor<'a> {
@@ -301,7 +334,7 @@ impl TileExecutor for GpuSimExecutor<'_> {
         F: Fn() -> C + Sync + Send,
     {
         let mut report = ExecReport::new("gpu-sim", 1);
-        let data = DeviceData::upload(pre);
+        let data = DeviceData::gather(pre, plan.sets());
         report.device_bytes = data.buffer.bytes();
         // One queue for the whole run: batmaps transferred once
         // (§III-B), then one launch per tile.
@@ -430,6 +463,58 @@ mod tests {
                     expect,
                     "k={k} threads={threads} must match the reference"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_plan_sweeps_only_planned_sets() {
+        let pre = fixture();
+        // Three plans over the 30-set fixture: every second set (15
+        // planned, padded to 16), every third set (10 planned), and two
+        // of every three (20 planned, padded to 32: three tiles at
+        // k = 16). Cells on real plan indices must count the listed
+        // sets; padding cells are unspecified.
+        let n = pre.n_items;
+        for (sets, k) in [
+            ((0..n).step_by(2).collect::<Vec<u32>>(), 16usize),
+            ((0..n).step_by(3).collect(), 32),
+            ((0..n).filter(|s| s % 3 != 2).collect(), 16),
+        ] {
+            let plan = TilePlan::over(sets.clone(), k);
+            assert_eq!(plan.n_padded(), sets.len().next_multiple_of(16));
+            let real = |((_, j), _): &((u32, u32), u64)| (*j as usize) < sets.len();
+            let expect: Vec<((u32, u32), u64)> = (0..sets.len())
+                .flat_map(|i| (i + 1..sets.len()).map(move |j| (i, j)))
+                .map(|(i, j)| {
+                    let count = batmap::intersect::count_mixed(
+                        &pre.payload(sets[i] as usize),
+                        &pre.payload(sets[j] as usize),
+                    );
+                    ((i as u32, j as u32), count)
+                })
+                .collect();
+            let gpu = GpuSimExecutor {
+                device: &DeviceSpec::gtx285(),
+            };
+            let (gpu_sink, g_rep) = gpu.execute(&pre, &plan, CellSink::default);
+            assert_eq!(
+                g_rep.device_bytes,
+                DeviceData::gather(&pre, &sets).buffer.bytes()
+            );
+            let gpu_cells = sorted_cells(gpu_sink);
+            assert_eq!(gpu_cells.len(), plan.reported_comparisons());
+            let gpu_real: Vec<_> = gpu_cells.into_iter().filter(real).collect();
+            assert_eq!(gpu_real, expect, "gpu-sim k={k} sets={}", sets.len());
+            for threads in [1usize, 3] {
+                let exec = ParallelCpuExecutor {
+                    parallelism: Parallelism::threads(threads),
+                };
+                let (cpu_sink, _) = exec.execute(&pre, &plan, CellSink::default);
+                let cpu_cells = sorted_cells(cpu_sink);
+                assert_eq!(cpu_cells.len(), plan.reported_comparisons());
+                let cpu_real: Vec<_> = cpu_cells.into_iter().filter(real).collect();
+                assert_eq!(cpu_real, expect, "cpu threads={threads} k={k}");
             }
         }
     }

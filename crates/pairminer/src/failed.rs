@@ -12,15 +12,22 @@
 //! row-major order a tile is walked in — so a row band of the tile
 //! finds its own pairs with a binary search ([`FailedPairs::for_band`])
 //! and the harvest merges them by position, with no lookup per count.
+//!
+//! Pairs are keyed by *plan index*, the index space of the tile plan
+//! ([`TilePlan`]). A pair that touches a set the plan leaves out — an
+//! item below `minsup` — is dropped: no pair through it can be
+//! reported.
 
+use crate::executor::TilePlan;
+use crate::preprocess::Preprocessed;
 use crate::schedule::Tile;
 use fim::TransactionDb;
 
-/// One missing pair: `((sᵢ, sⱼ), missing count)`, `sᵢ < sⱼ` sorted
+/// One missing pair: `((sᵢ, sⱼ), missing count)`, `sᵢ < sⱼ` plan
 /// indices.
 pub type MissingPair = ((u32, u32), u64);
 
-/// Missing pair counts, bucketed per tile `(p, q)` in sorted-item space.
+/// Missing pair counts, bucketed per tile `(p, q)` in plan-index space.
 #[derive(Debug, Clone, Default)]
 pub struct FailedPairs {
     /// Tile side the pairs are bucketed by.
@@ -28,12 +35,14 @@ pub struct FailedPairs {
     /// Every missing pair, sorted by owning tile `(sᵢ / k, sⱼ / k)`,
     /// then by `(sᵢ, sⱼ)`.
     pairs: Vec<MissingPair>,
-    /// Total missing pair-occurrences (for reporting).
+    /// Total missing pair-occurrences between planned sets (for
+    /// reporting).
     total: u64,
 }
 
 impl FailedPairs {
-    /// Build from the preprocessing failure list.
+    /// Build from the preprocessing failure list, for the identity plan
+    /// (plan index = sorted index; [`TilePlan::new`]).
     ///
     /// * `failed` — `(sorted item index, tid)` pairs from preprocessing.
     /// * `db` — the horizontal database (`A_b` comes from here).
@@ -45,7 +54,36 @@ impl FailedPairs {
         item_to_sorted: &[u32],
         k: usize,
     ) -> Self {
-        let mut by_tid: Vec<(u32, u32)> = failed.iter().map(|&(s, tid)| (tid, s)).collect();
+        Self::build_mapped(failed, db, item_to_sorted, k, Some)
+    }
+
+    /// Build for `plan` over `pre`'s failure list: pairs are keyed and
+    /// bucketed by plan index, and a pair that touches a set outside
+    /// the plan is dropped (an unplanned set is below `minsup`, so
+    /// every pair through it is too).
+    pub fn for_plan(pre: &Preprocessed, db: &TransactionDb, plan: &TilePlan) -> Self {
+        let mut to_plan = vec![None; pre.padded_items()];
+        for (i, &s) in plan.sets().iter().enumerate() {
+            to_plan[s as usize] = Some(i as u32);
+        }
+        Self::build_mapped(&pre.failed, db, &pre.item_to_sorted, plan.k(), |s| {
+            to_plan[s as usize]
+        })
+    }
+
+    /// The §III-C construction, with `plan_of` mapping a sorted index
+    /// to its plan index (`None`: the set is not planned).
+    fn build_mapped(
+        failed: &[(u32, u32)],
+        db: &TransactionDb,
+        item_to_sorted: &[u32],
+        k: usize,
+        plan_of: impl Fn(u32) -> Option<u32>,
+    ) -> Self {
+        let mut by_tid: Vec<(u32, u32)> = failed
+            .iter()
+            .filter_map(|&(s, tid)| Some((tid, plan_of(s)?)))
+            .collect();
         by_tid.sort_unstable();
         let mut occurrences: Vec<(u32, u32)> = Vec::new();
         let mut pairs_of_b: Vec<(u32, u32)> = Vec::new();
@@ -54,7 +92,9 @@ impl FailedPairs {
             pairs_of_b.clear();
             for &(_, a) in f_b {
                 for &item in a_b {
-                    let c = item_to_sorted[item as usize];
+                    let Some(c) = plan_of(item_to_sorted[item as usize]) else {
+                        continue;
+                    };
                     if a != c {
                         pairs_of_b.push((a.min(c), a.max(c)));
                     }
@@ -97,7 +137,8 @@ impl FailedPairs {
         &self.pairs[lo..hi]
     }
 
-    /// Total missing pair-occurrences across all tiles.
+    /// Total missing pair-occurrences across all tiles (pairs between
+    /// planned sets only).
     pub fn total(&self) -> u64 {
         self.total
     }

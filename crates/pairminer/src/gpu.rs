@@ -19,6 +19,7 @@
 use crate::preprocess::Preprocessed;
 use crate::schedule::Tile;
 use batmap::kernel::KernelDispatch;
+use batmap::params::EMPTY_SLOT;
 use batmap::{KernelBackend, MatchKernel};
 use gpu_sim::{dispatch, DeviceSpec, GlobalBuffer, GroupCtx, Kernel, LaunchReport, NdRange};
 
@@ -31,11 +32,11 @@ const OPS_LOOP: u64 = 8;
 /// Batmaps resident in (simulated) device memory.
 #[derive(Debug)]
 pub struct DeviceData {
-    /// All batmap words, concatenated in sorted order.
+    /// All uploaded batmap words, concatenated in plan order.
     pub buffer: GlobalBuffer,
-    /// Word offset of each batmap in `buffer`.
+    /// Word offset of each batmap in `buffer`, by plan index.
     pub offsets: Vec<u32>,
-    /// 16-word slice count of each batmap.
+    /// 16-word slice count of each batmap, by plan index.
     pub slices: Vec<u32>,
     /// Match-count backend inherited from the preprocessed universe
     /// parameters; the comparison kernel dispatches through it.
@@ -43,20 +44,36 @@ pub struct DeviceData {
 }
 
 impl DeviceData {
-    /// Pack the preprocessed batmaps for upload, reading zero-copy
-    /// views straight out of the arena (the host-side copy here models
-    /// the host→device transfer itself).
+    /// Pack every preprocessed batmap for upload, in sorted order: the
+    /// device data of the identity plan ([`crate::TilePlan::new`]).
     pub fn upload(pre: &Preprocessed) -> Self {
+        let all: Vec<u32> = (0..pre.padded_items() as u32).collect();
+        Self::gather(pre, &all)
+    }
+
+    /// Pack the batmaps at sorted positions `sets` (a plan's
+    /// [`crate::TilePlan::sets`]) for upload, so device index `i` holds
+    /// set `sets[i]`, reading zero-copy views straight out of the arena
+    /// (the host-side copy here models the host→device transfer
+    /// itself). The list is padded to a multiple of 16 with one-slice
+    /// empty batmaps, which match nothing.
+    pub fn gather(pre: &Preprocessed, sets: &[u32]) -> Self {
         assert!(
             pre.arena.is_all_batmap(),
             "the GPU engine requires an all-batmap corpus; \
              re-preprocess with ReprPolicy::Batmap"
         );
-        let total_words: usize = pre.batmap_bytes() / 4;
+        let n_padded = sets.len().next_multiple_of(crate::preprocess::BLOCK);
+        let total_words = sets
+            .iter()
+            .map(|&s| pre.batmap(s as usize).width_bytes() / 4)
+            .sum::<usize>()
+            + (n_padded - sets.len()) * 16;
         let mut words = Vec::with_capacity(total_words);
-        let mut offsets = Vec::with_capacity(pre.padded_items());
-        let mut slices = Vec::with_capacity(pre.padded_items());
-        for bm in pre.arena.iter() {
+        let mut offsets = Vec::with_capacity(n_padded);
+        let mut slices = Vec::with_capacity(n_padded);
+        for &s in sets {
+            let bm = pre.batmap(s as usize);
             assert_eq!(
                 bm.width_bytes() % 64,
                 0,
@@ -67,6 +84,11 @@ impl DeviceData {
             for chunk in bm.as_bytes().chunks_exact(4) {
                 words.push(u32::from_le_bytes(chunk.try_into().unwrap()));
             }
+        }
+        for _ in sets.len()..n_padded {
+            offsets.push(words.len() as u32);
+            slices.push(1);
+            words.extend([u32::from_le_bytes([EMPTY_SLOT; 4]); 16]);
         }
         DeviceData {
             buffer: GlobalBuffer::new(words),

@@ -102,14 +102,22 @@ pub struct MiningReport {
     pub memory: MemoryReport,
     /// Folded GPU counters (None for the CPU engine).
     pub gpu_stats: Option<KernelStats>,
-    /// Pair-occurrences recovered through the failed-insertion path.
+    /// Pair-occurrences recovered through the failed-insertion path,
+    /// between planned sets only (a pair through an item below
+    /// `minsup` is never repaired, since it can never be reported).
     pub failed_pair_occurrences: u64,
-    /// Number of pair comparisons *reported* by the schedule — exactly
-    /// "(padded items choose 2)"; diagonal tiles count their strict
-    /// upper triangle only (see [`Tile::comparisons`]).
+    /// Number of pair comparisons *reported* by the tile plan — exactly
+    /// "(padded planned sets choose 2)", i.e. `C(⌈L/16⌉·16, 2)` for
+    /// `L` = [`MiningReport::planned_items`]; diagonal tiles count their
+    /// strict upper triangle only (see [`Tile::comparisons`]).
     pub comparisons: usize,
-    /// Worker threads the tile engine used (1 for the serial CPU
-    /// engine and for the simulated GPU's host loop).
+    /// Sets the tile plan covers: every padded position of the corpus
+    /// at `minsup ≤ 1`, otherwise the items whose support reaches
+    /// `minsup` (before the plan pads them to a multiple of 16).
+    pub planned_items: usize,
+    /// Worker threads the tile engine used: 1 for the CPU engine under
+    /// [`batmap::Parallelism::Serial`] and for the simulated GPU's host
+    /// loop.
     pub threads: usize,
     /// Number of tiles whose simulated time exceeded the device
     /// watchdog (should be 0 with a sane `k`; §III-C).
@@ -117,11 +125,12 @@ pub struct MiningReport {
 }
 
 /// The miner's [`TileConsumer`]: folds each band's (or tile's) counts
-/// straight into a sparse sorted-space pair map via [`harvest_tile`].
+/// straight into a sparse plan-index pair map via [`harvest_tile`].
 /// One instance per worker; workers own disjoint bands, so merging is a
 /// plain union.
 struct HarvestConsumer<'a> {
-    pre: &'a Preprocessed,
+    /// Planned real sets; plan indices at or past this are padding.
+    planned: usize,
     failed: &'a FailedPairs,
     minsup: u64,
     out: PairMap,
@@ -132,7 +141,7 @@ impl TileConsumer for HarvestConsumer<'_> {
         harvest_tile(
             tile,
             counts,
-            self.pre,
+            self.planned,
             self.failed.for_band(tile),
             self.minsup,
             &mut self.out,
@@ -220,6 +229,12 @@ pub fn mine_preprocessed(
 }
 
 /// The engine-independent tile pipeline over a built corpus.
+///
+/// The tile plan covers only the sets whose support reaches `minsup`:
+/// a pair is never more frequent than either of its items (Apriori's
+/// anti-monotone property), so an infrequent item joins no reported
+/// pair and is never swept. At `minsup ≤ 1` the plan is the identity
+/// over every padded position.
 fn mine_over(
     db: &TransactionDb,
     pre: &Preprocessed,
@@ -227,12 +242,28 @@ fn mine_over(
     preprocess_s: f64,
     config: &MinerConfig,
 ) -> MiningReport {
-    let plan = TilePlan::new(pre.padded_items(), config.k);
-    let failed = FailedPairs::build(&pre.failed, db, &pre.item_to_sorted, config.k);
-    let comparisons = plan.reported_comparisons();
+    let plan = if config.minsup <= 1 {
+        TilePlan::new(pre.padded_items(), config.k)
+    } else {
+        let frequent = (0..pre.n_items)
+            .filter(|&s| {
+                let s = s as usize;
+                (pre.payload(s).len() + pre.failed_for(s).len()) as u64 >= config.minsup
+            })
+            .collect();
+        TilePlan::over(frequent, config.k)
+    };
+    let failed = FailedPairs::for_plan(pre, db, &plan);
+    // Original item id of each planned real set, by plan index; later
+    // plan indices are padding.
+    let ids: Vec<u32> = plan
+        .sets()
+        .iter()
+        .map_while(|&s| pre.order.get(s as usize).copied())
+        .collect();
 
     let make = || HarvestConsumer {
-        pre,
+        planned: ids.len(),
         failed: &failed,
         minsup: config.minsup,
         out: PairMap::default(),
@@ -244,17 +275,14 @@ fn mine_over(
         }
         .execute(pre, &plan, make),
     };
-    let sorted_pairs = harvested.out;
     let mut postprocess_s = exec.consume_s;
 
-    // Remap to original item ids (thresholding already happened per
-    // tile, as the paper does when each Z_{p,q} returns).
+    // Remap plan indices to original item ids (thresholding already
+    // happened per tile, as the paper does when each Z_{p,q} returns).
     let mut post = Stopwatch::start();
     let mut pairs = PairMap::default();
-    for ((si, sj), support) in sorted_pairs {
-        let a = pre.order[si as usize];
-        let b = pre.order[sj as usize];
-        pairs.insert(pair_key(a, b), support);
+    for ((i, j), support) in harvested.out {
+        pairs.insert(pair_key(ids[i as usize], ids[j as usize]), support);
     }
     postprocess_s += post.lap().as_secs_f64();
 
@@ -276,30 +304,31 @@ fn mine_over(
         memory,
         gpu_stats: exec.gpu_stats,
         failed_pair_occurrences: failed.total(),
-        comparisons,
+        comparisons: plan.reported_comparisons(),
+        planned_items: plan.sets().len(),
         threads: exec.threads,
         watchdog_violations: exec.watchdog_violations,
     }
 }
 
-/// Fold one band's (or tile's) dense counts into the sparse
-/// sorted-space pair map: apply the diagonal triangle filter, drop
-/// padding items, merge the band's `M_{p,q}` missing pairs, and
-/// threshold by `minsup` — all in one pass, mirroring the paper's
-/// "extend Z_{p,q} with M_{p,q} before reporting" streaming postprocess.
+/// Fold one band's (or tile's) dense counts into the sparse plan-index
+/// pair map: apply the diagonal triangle filter, drop padding (plan
+/// indices at or past `n`, the count of planned real sets), merge the
+/// band's `M_{p,q}` missing pairs, and threshold by `minsup` — all in
+/// one pass, mirroring the paper's "extend Z_{p,q} with M_{p,q} before
+/// reporting" streaming postprocess.
 ///
 /// `extras` are sorted by `(sᵢ, sⱼ)`, the order the band's cells are
 /// walked in, so they merge by position. Every missing pair has
-/// `sᵢ < sⱼ < n_items` and so lies on a visited cell.
+/// `sᵢ < sⱼ < n` and so lies on a visited cell.
 fn harvest_tile(
     tile: &Tile,
     counts: &[u64],
-    pre: &Preprocessed,
+    n: usize,
     extras: &[MissingPair],
     minsup: u64,
     out: &mut PairMap,
 ) {
-    let n = pre.n_items as usize;
     let minsup = minsup.max(1);
     // Columns past the last real item are padding.
     let cols = tile.cols.min(n.saturating_sub(tile.col_base));
@@ -307,7 +336,7 @@ fn harvest_tile(
     for i in 0..tile.rows {
         let gi = tile.row_base + i;
         if gi >= n {
-            break; // padding rows are at the end of the sorted order
+            break; // padding rows are at the end of the plan
         }
         let first = tile.first_reported_col(i);
         let row = &counts[i * tile.cols..(i + 1) * tile.cols];
@@ -508,6 +537,90 @@ mod tests {
             }
         }
         assert!(split_tiles > 0, "no tile's missing pairs spanned two bands");
+    }
+
+    #[test]
+    fn plan_covers_only_items_reaching_minsup() {
+        // Items 0..12 have support 200, items 12..24 are supersets of
+        // them (support 300, so each pair {i, 12 + i} has support 200),
+        // and items 24..44 have support 100 and fall below minsup 200.
+        // At MaxLoop 1 some support-200 items store fewer than 200
+        // elements; only stored + failed reaches minsup, and their
+        // pairs must still be reported.
+        let m = 3000u32;
+        let db = TransactionDb::new(
+            44,
+            (0..m)
+                .map(|t| {
+                    (0..44u32)
+                        .filter(|&i| {
+                            let phase = |j: u32| (t + 7 * j) % 30;
+                            match i {
+                                0..12 => phase(i) < 2,
+                                12..24 => phase(i - 12) < 3,
+                                _ => phase(i) == 0,
+                            }
+                        })
+                        .collect()
+                })
+                .collect(),
+        );
+        let minsup = 200;
+        let oracle = brute_force_pairs(&db, minsup);
+        let support = VerticalDb::from_horizontal(&db);
+        let frequent = (0..44)
+            .filter(|&i| support.tidlist(i).len() as u64 >= minsup)
+            .count();
+        assert_eq!(frequent, 24);
+        let padded = frequent.next_multiple_of(16);
+
+        let options = EngineOptions::auto().repr(ReprPolicy::Batmap);
+        let pre = preprocess_with(&support, MinerConfig::default().seed, 1, options);
+        let rescued: Vec<u32> = (0..pre.n_items as usize)
+            .filter(|&s| {
+                let stored = pre.payload(s).len() as u64;
+                stored < minsup && stored + pre.failed_for(s).len() as u64 >= minsup
+            })
+            .map(|s| pre.order[s])
+            .collect();
+        assert!(
+            !rescued.is_empty(),
+            "fixture needs an item that reaches minsup only with its failures"
+        );
+
+        for (engine, threads) in [
+            (Engine::Gpu(DeviceSpec::gtx285()), Parallelism::Serial),
+            (Engine::Cpu, Parallelism::Serial),
+            (Engine::Cpu, Parallelism::threads(3)),
+        ] {
+            for k in [16usize, 2048] {
+                let report = mine(
+                    &db,
+                    &MinerConfig {
+                        k,
+                        minsup,
+                        max_loop: 1,
+                        engine: engine.clone(),
+                        options: options.threads(threads),
+                        ..Default::default()
+                    },
+                );
+                let name = match engine {
+                    Engine::Gpu(_) => "gpu",
+                    Engine::Cpu => "cpu",
+                };
+                let label = format!("{name} {threads:?} k={k}");
+                assert_eq!(report.pairs, oracle, "{label}");
+                assert_eq!(report.planned_items, frequent, "{label}");
+                assert_eq!(report.comparisons, padded * (padded - 1) / 2, "{label}");
+                for &item in &rescued {
+                    assert!(
+                        report.pairs.keys().any(|&(a, b)| a == item || b == item),
+                        "{label}: item {item}'s pairs were dropped"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

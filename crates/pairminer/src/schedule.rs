@@ -11,18 +11,21 @@ use serde::{Deserialize, Serialize};
 
 /// One tile `Z_{p,q}` of the comparison matrix — or a row band of one.
 ///
-/// The CPU engine cuts each scheduled tile into row bands: a band keeps
-/// the tile's `p`, `q` and column range and narrows `row_base`/`rows`
-/// to a contiguous run of the tile's rows.
+/// Rows and columns are *plan indices*: index `i` stands for the set at
+/// sorted position `TilePlan::sets()[i]` of the plan that scheduled the
+/// tile (the identity plan, `TilePlan::new`, makes them sorted
+/// positions). The CPU engine cuts each scheduled tile into row bands:
+/// a band keeps the tile's `p`, `q` and column range and narrows
+/// `row_base`/`rows` to a contiguous run of the tile's rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Tile {
     /// Block-row index `p`.
     pub p: u32,
     /// Block-column index `q` (`p ≤ q`).
     pub q: u32,
-    /// First sorted item index of the row range.
+    /// First plan index of the row range.
     pub row_base: usize,
-    /// First sorted item index of the column range.
+    /// First plan index of the column range.
     pub col_base: usize,
     /// Rows in this tile (a multiple of 16 for scheduled tiles; a band
     /// may hold any number).
@@ -81,8 +84,8 @@ impl Tile {
     }
 }
 
-/// Build the upper-triangle tile schedule for `n_padded` items (multiple
-/// of 16) with tile side `k` (multiple of 16).
+/// Build the upper-triangle tile schedule for `n_padded` plan indices
+/// (multiple of 16) with tile side `k` (multiple of 16).
 pub fn schedule(n_padded: usize, k: usize) -> Vec<Tile> {
     assert!(
         k > 0 && k.is_multiple_of(16),
