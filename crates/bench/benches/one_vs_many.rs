@@ -10,16 +10,17 @@
 //! the point of this bench.
 
 use batmap::{available_backends, intersect, KernelBackend};
-use bench::one_vs_many_fixture;
+use bench::{one_vs_many_fixture, ONE_VS_MANY_SET};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 fn bench_one_vs_many(c: &mut Criterion) {
     let mut g = c.benchmark_group("one_vs_many");
     for batch in [1usize, 4, 16, 64] {
-        // The same workload `perf_suite`'s `intersect_one_vs_many`
-        // scenario measures, so the trajectories stay comparable.
-        let (probe, many) = one_vs_many_fixture(batch, 0x1A7E, KernelBackend::Auto);
+        // The cache-resident row `perf_suite`'s kernel-ladder and
+        // batched-row gates measure, so the numbers stay comparable.
+        let (probe, many) =
+            one_vs_many_fixture(batch, ONE_VS_MANY_SET, 0x1A7E, KernelBackend::Auto);
         // Both arrays of every comparison count (the repo convention —
         // see benches/{swar,intersect}): `batch` comparisons, each over
         // probe-width + candidate-width bytes. Counting the probe once
@@ -27,7 +28,7 @@ fn bench_one_vs_many(c: &mut Criterion) {
         // exactly the batch-size trajectory this bench exists to show.
         g.throughput(Throughput::Bytes((2 * batch * probe.width_bytes()) as u64));
         for backend in available_backends() {
-            let (probe, many) = one_vs_many_fixture(batch, 0x1A7E, backend);
+            let (probe, many) = one_vs_many_fixture(batch, ONE_VS_MANY_SET, 0x1A7E, backend);
             g.bench_function(
                 BenchmarkId::new(format!("batched_{}", backend.name()), batch),
                 |bench| {

@@ -4,7 +4,7 @@
 //! Two axes:
 //! * **backend** — every [`batmap::MatchKernel`] backend available on
 //!   this CPU (scalar reference, the paper's u32 formulation, the u64
-//!   popcount widening, and the SSE2/AVX2 SIMD kernels where the
+//!   popcount widening, and the NEON/AVX2/AVX-512 SIMD kernels where the
 //!   hardware has them), dispatched exactly as the intersection hot
 //!   path does;
 //! * **dispatch ablation** — the raw u32 formulation called statically,

@@ -11,8 +11,8 @@
 
 #![warn(missing_docs)]
 
+pub mod gate;
 pub mod pbi;
-pub mod report;
 
 use batmap::{EngineOptions, KernelBackend};
 use datagen::uniform::{generate, UniformSpec};
@@ -160,21 +160,24 @@ pub fn paper_instance(cfg: &HarnessConfig, n_items: u32, density: f64) -> Transa
 }
 
 /// Build the one-vs-many workload shared by the `one_vs_many` criterion
-/// bench and the `perf_suite` `intersect_one_vs_many` scenario: one
-/// probe batmap of `ONE_VS_MANY_SET` elements in a 100k universe plus
-/// `candidates` same-support candidates (same support → same width →
-/// the batched driver's blocked equal-width path, the mining pipeline's
-/// common case — preprocessing sorts batmaps by width). One definition
-/// so the criterion trajectory and the regression-gated scenario stay
-/// comparable.
+/// bench and `perf_suite`'s kernel-ladder and batched-row gates: one
+/// probe batmap of `set` elements (at most 100k) in a 100k universe
+/// plus `candidates` same-support candidates (same support → same
+/// width → the batched driver's blocked equal-width path, the mining
+/// pipeline's common case — preprocessing sorts batmaps by width). The
+/// width is `3·2·2^⌈log₂ set⌉` bytes: 24 KiB at [`ONE_VS_MANY_SET`].
+/// One definition so the criterion trajectory and the gates measure
+/// the same rows.
 pub fn one_vs_many_fixture(
     candidates: usize,
+    set: usize,
     seed: u64,
     kernel: KernelBackend,
 ) -> (batmap::Batmap, Vec<batmap::Batmap>) {
     use batmap::{Batmap, BatmapParams};
     const M: u32 = 100_000;
-    let set = ONE_VS_MANY_SET as u32;
+    let set = set as u32;
+    assert!((1..=M).contains(&set), "set size must be in 1..=100k");
     let params = std::sync::Arc::new(
         BatmapParams::new(M as u64, seed).with_engine_options(EngineOptions::auto().kernel(kernel)),
     );
@@ -191,7 +194,7 @@ pub fn one_vs_many_fixture(
     (probe, many)
 }
 
-/// Elements per set in [`one_vs_many_fixture`].
+/// The criterion bench's set size for [`one_vs_many_fixture`].
 pub const ONE_VS_MANY_SET: usize = 4_000;
 
 /// A representative mining threshold for an instance: slightly above

@@ -1229,9 +1229,8 @@ impl ArenaBuilder {
 
     /// Append a set built from `elements` (any order, duplicates
     /// tolerated) in the given representation; returns its index. This
-    /// is the forced-representation path the hybrid tests and the
-    /// `intersect_mixed` scenario use to assemble arbitrary mixed
-    /// corpora.
+    /// is the forced-representation path the hybrid tests use to
+    /// assemble arbitrary mixed corpora.
     ///
     /// # Panics
     /// Panics if an element is outside the universe, or if `repr` is

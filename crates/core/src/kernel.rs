@@ -11,7 +11,6 @@
 //! | `swar32` | 4          | `u32`           | everywhere (the paper's printed form) |
 //! | `swar64` | 8          | `u64`           | everywhere (widest portable) |
 //! | `neon`   | 16         | 128-bit NEON    | `aarch64` baseline |
-//! | `sse2`   | 16         | 128-bit XMM     | `x86_64` baseline |
 //! | `avx2`   | 32         | 256-bit YMM     | `x86_64` with AVX2 (runtime-detected) |
 //! | `avx512` | 64         | 512-bit ZMM     | `x86_64` with AVX-512BW (runtime-detected) |
 //!
@@ -33,8 +32,8 @@
 //!
 //! Backend selection is runtime data, not a compile-time feature:
 //! [`KernelBackend::Auto`] resolves to the widest backend *available on
-//! this CPU* (AVX-512 where detected, else AVX2, else SSE2 on any
-//! `x86_64`; NEON on `aarch64`; SWAR-u64 elsewhere), honouring a
+//! this CPU* (AVX-512 where detected, else AVX2; NEON on `aarch64`;
+//! SWAR-u64 elsewhere), honouring a
 //! `BATMAP_KERNEL` environment override, and
 //! can be pinned per universe via [`crate::BatmapParams::with_engine_options`]
 //! or per mining run via the miner configuration. Requesting a backend
@@ -64,7 +63,8 @@ pub trait MatchKernel: fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Lanes processed per inner-loop step (1 for scalar, 4 for u32
-    /// words, 8 for u64 words, 16 for SSE2, 32 for AVX2).
+    /// words, 8 for u64 words, 16 for NEON, 32 for AVX2, 64 for
+    /// AVX-512).
     fn lanes(&self) -> usize;
 
     /// Count matching slots of one 32-bit word of four slots — the
@@ -188,8 +188,9 @@ impl MatchKernel for SwarU32Kernel {
 }
 
 /// Popcount widening: eight slots per 64-bit word (the widest portable
-/// backend; the SSE2/AVX2 backends in `crate::simd` slot in behind
-/// the same trait on `x86_64`).
+/// backend; the AVX2/AVX-512 backends in `crate::simd` slot in
+/// behind the same trait on `x86_64`, and NEON in `crate::neon` on
+/// `aarch64`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SwarU64Kernel;
 
@@ -244,8 +245,6 @@ pub enum KernelBackend {
     /// Sixteen lanes per 128-bit NEON register (`aarch64` only, where
     /// Advanced SIMD is baseline).
     Neon,
-    /// Sixteen lanes per 128-bit SSE2 register (`x86_64` only).
-    Sse2,
     /// Thirty-two lanes per 256-bit AVX2 register (`x86_64` with AVX2).
     Avx2,
     /// Sixty-four lanes per 512-bit ZMM register (`x86_64` with
@@ -253,18 +252,15 @@ pub enum KernelBackend {
     Avx512,
 }
 
-/// The concrete (non-`Auto`) backends, widest last (`neon` and `sse2`
-/// share a lane width but are never available on the same
-/// architecture, so the *available* sub-sequence is strictly widening
-/// on every host). Iterate [`available_backends`] instead when the
-/// code will actually *execute* the backend — the tail of this list is
-/// not available on every CPU.
-pub const ALL_BACKENDS: [KernelBackend; 7] = [
+/// The concrete (non-`Auto`) backends, widest last. Iterate
+/// [`available_backends`] instead when the code will actually
+/// *execute* the backend — the tail of this list is not available on
+/// every CPU.
+pub const ALL_BACKENDS: [KernelBackend; 6] = [
     KernelBackend::Scalar,
     KernelBackend::SwarU32,
     KernelBackend::SwarU64,
     KernelBackend::Neon,
-    KernelBackend::Sse2,
     KernelBackend::Avx2,
     KernelBackend::Avx512,
 ];
@@ -285,7 +281,10 @@ impl KernelBackend {
             "swar32" | "u32" => Some(KernelBackend::SwarU32),
             "swar64" | "u64" => Some(KernelBackend::SwarU64),
             "neon" => Some(KernelBackend::Neon),
-            "sse2" => Some(KernelBackend::Sse2),
+            // A retired 16-lane backend that matched swar64 on
+            // L2-resident rows; still read so that universes stored
+            // with it pinned keep loading.
+            "sse2" => Some(KernelBackend::SwarU64),
             "avx2" => Some(KernelBackend::Avx2),
             "avx512" => Some(KernelBackend::Avx512),
             _ => None,
@@ -300,7 +299,6 @@ impl KernelBackend {
             KernelBackend::SwarU32 => "swar32",
             KernelBackend::SwarU64 => "swar64",
             KernelBackend::Neon => "neon",
-            KernelBackend::Sse2 => "sse2",
             KernelBackend::Avx2 => "avx2",
             KernelBackend::Avx512 => "avx512",
         }
@@ -308,9 +306,8 @@ impl KernelBackend {
 
     /// Whether this backend can execute on the current CPU. `Auto` and
     /// the portable backends are always available; `neon` requires
-    /// `aarch64` (where it is baseline); `sse2` requires `x86_64`
-    /// (where it is baseline); `avx2` and `avx512` additionally require
-    /// runtime feature detection.
+    /// `aarch64` (where it is baseline); `avx2` and `avx512` require
+    /// `x86_64` plus runtime feature detection.
     pub fn is_available(self) -> bool {
         match self {
             KernelBackend::Auto
@@ -318,23 +315,21 @@ impl KernelBackend {
             | KernelBackend::SwarU32
             | KernelBackend::SwarU64 => true,
             #[cfg(target_arch = "x86_64")]
-            KernelBackend::Sse2 => true,
-            #[cfg(target_arch = "x86_64")]
             KernelBackend::Avx2 => simd::avx2_available(),
             #[cfg(target_arch = "x86_64")]
             KernelBackend::Avx512 => simd::avx512_available(),
             #[cfg(target_arch = "aarch64")]
             KernelBackend::Neon => true,
             #[cfg(not(target_arch = "x86_64"))]
-            KernelBackend::Sse2 | KernelBackend::Avx2 | KernelBackend::Avx512 => false,
+            KernelBackend::Avx2 | KernelBackend::Avx512 => false,
             #[cfg(not(target_arch = "aarch64"))]
             KernelBackend::Neon => false,
         }
     }
 
     /// The widest backend available on this CPU (what `Auto` resolves
-    /// to absent an override): AVX-512 where detected, else AVX2, else
-    /// SSE2 on any `x86_64`; NEON on `aarch64`; SWAR-u64 elsewhere.
+    /// to absent an override): AVX-512 where detected, else AVX2; NEON
+    /// on `aarch64`; SWAR-u64 elsewhere.
     pub fn widest_available() -> KernelBackend {
         ALL_BACKENDS
             .into_iter()
@@ -375,7 +370,7 @@ impl KernelBackend {
                 // experiment either.
                 eprintln!(
                     "warning: ignoring invalid BATMAP_KERNEL={} \
-                     (expected auto|scalar|swar32|swar64|neon|sse2|avx2|avx512); using {}",
+                     (expected auto|scalar|swar32|swar64|neon|avx2|avx512); using {}",
                     var.unwrap_or_default(),
                     widest.name()
                 );
@@ -419,15 +414,13 @@ impl KernelBackend {
             KernelBackend::SwarU32 => &SwarU32Kernel,
             KernelBackend::SwarU64 => &SwarU64Kernel,
             #[cfg(target_arch = "x86_64")]
-            KernelBackend::Sse2 => &simd::Sse2Kernel,
-            #[cfg(target_arch = "x86_64")]
             KernelBackend::Avx2 => &simd::Avx2Kernel,
             #[cfg(target_arch = "x86_64")]
             KernelBackend::Avx512 => &simd::Avx512Kernel,
             #[cfg(target_arch = "aarch64")]
             KernelBackend::Neon => &neon::NeonKernel,
             #[cfg(not(target_arch = "x86_64"))]
-            KernelBackend::Sse2 | KernelBackend::Avx2 | KernelBackend::Avx512 => {
+            KernelBackend::Avx2 | KernelBackend::Avx512 => {
                 unreachable!("resolve() never selects an unavailable backend")
             }
             #[cfg(not(target_arch = "aarch64"))]
@@ -450,15 +443,13 @@ impl KernelBackend {
             KernelBackend::SwarU32 => op.run(SwarU32Kernel),
             KernelBackend::SwarU64 => op.run(SwarU64Kernel),
             #[cfg(target_arch = "x86_64")]
-            KernelBackend::Sse2 => op.run(simd::Sse2Kernel),
-            #[cfg(target_arch = "x86_64")]
             KernelBackend::Avx2 => op.run(simd::Avx2Kernel),
             #[cfg(target_arch = "x86_64")]
             KernelBackend::Avx512 => op.run(simd::Avx512Kernel),
             #[cfg(target_arch = "aarch64")]
             KernelBackend::Neon => op.run(neon::NeonKernel),
             #[cfg(not(target_arch = "x86_64"))]
-            KernelBackend::Sse2 | KernelBackend::Avx2 | KernelBackend::Avx512 => {
+            KernelBackend::Avx2 | KernelBackend::Avx512 => {
                 unreachable!("resolve() never selects an unavailable backend")
             }
             #[cfg(not(target_arch = "aarch64"))]
@@ -635,6 +626,11 @@ mod tests {
         }
         assert_eq!(KernelBackend::from_name("AUTO"), Some(KernelBackend::Auto));
         assert_eq!(KernelBackend::from_name("nope"), None);
+        // The retired `sse2` name still parses, as `swar64`.
+        assert_eq!(
+            KernelBackend::from_name("sse2"),
+            Some(KernelBackend::SwarU64)
+        );
     }
 
     #[test]
@@ -675,11 +671,8 @@ mod tests {
         // `kernel()` resolves unavailable backends to the widest
         // available one, so the observed lane count is a floor of the
         // nominal one on the tail of the list; the available entries
-        // must match the nominal ladder exactly. (`neon` and `sse2`
-        // share a nominal width but are mutually exclusive by
-        // architecture, so the available sub-sequence below is still
-        // strictly increasing.)
-        let nominal = [1usize, 4, 8, 16, 16, 32, 64];
+        // must match the nominal ladder exactly.
+        let nominal = [1usize, 4, 8, 16, 32, 64];
         for (i, backend) in ALL_BACKENDS.iter().enumerate() {
             if backend.is_available() {
                 assert_eq!(lanes[i], nominal[i], "backend {backend}");
@@ -696,7 +689,7 @@ mod tests {
     fn staged_word_cost_scales_down_with_lanes() {
         // The GPU simulator's per-staged-word charge must be monotone
         // non-increasing in lane width: scalar 32, the paper's u32 8,
-        // u64 8 (no staged-word pairing), neon/sse2 2, avx2 1, avx512 1
+        // u64 8 (no staged-word pairing), neon 2, avx2 1, avx512 1
         // (the charge floors at one scalar op).
         let costs: Vec<u64> = [
             KernelBackend::Scalar,
@@ -709,7 +702,6 @@ mod tests {
         assert_eq!(costs, vec![32, 8, 8]);
         #[cfg(target_arch = "x86_64")]
         {
-            assert_eq!(crate::simd::Sse2Kernel.ops_per_staged_word(), 2);
             assert_eq!(crate::simd::Avx2Kernel.ops_per_staged_word(), 1);
             assert_eq!(crate::simd::Avx512Kernel.ops_per_staged_word(), 1);
         }

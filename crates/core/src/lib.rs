@@ -52,9 +52,9 @@
 //!   [`ReprPolicy`] selection knob (`BATMAP_REPR`), and the typed
 //!   [`SetView`] the mixed kernels consume.
 //! * [`kernel`] — the pluggable [`kernel::MatchKernel`] backend layer
-//!   (scalar reference, SWAR-u32, SWAR-u64, NEON, SSE2, AVX2, AVX-512;
+//!   (scalar reference, SWAR-u32, SWAR-u64, NEON, AVX2, AVX-512;
 //!   runtime-selectable with CPU-feature detection).
-//! * `simd` — the true-SIMD SSE2/AVX2/AVX-512 kernels (`x86_64` only).
+//! * `simd` — the true-SIMD AVX2/AVX-512 kernels (`x86_64` only).
 //! * `neon` — the NEON kernel (`aarch64` only, baseline SIMD there).
 //! * [`parallel`] — the [`Parallelism`] knob host-parallel phases share
 //!   (`BATMAP_THREADS` override, same plumbing style as the kernels).
@@ -81,7 +81,7 @@
 //!
 //! ### `BATMAP_KERNEL` — match-count backend
 //!
-//! `BATMAP_KERNEL=scalar|swar32|swar64|neon|sse2|avx2|avx512` steers
+//! `BATMAP_KERNEL=scalar|swar32|swar64|neon|avx2|avx512` steers
 //! what [`KernelBackend::Auto`] resolves to. Resolution rules
 //! ([`KernelBackend::resolve_override`] is the pure form):
 //!
@@ -89,8 +89,8 @@
 //!    `MinerConfig::kernel`, `--kernel NAME`) wins; `Auto` consults the
 //!    environment.
 //! 2. `Auto` with no (valid) override resolves to the **widest backend
-//!    available on this CPU**: avx512 where detected, else avx2, else
-//!    sse2 on any x86_64; neon on aarch64; swar64 elsewhere.
+//!    available on this CPU**: avx512 where detected, else avx2; neon
+//!    on aarch64; swar64 elsewhere.
 //! 3. Requesting a backend the CPU lacks (e.g. `avx512` on a host
 //!    without AVX-512BW) **downgrades** to the widest available one
 //!    with a one-time warning. Counts are backend-independent, so a

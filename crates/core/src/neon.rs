@@ -1,7 +1,6 @@
 //! NEON match-count backend: 16 lanes per 128-bit register on
 //! `aarch64`, where Advanced SIMD is part of the architectural
-//! baseline (no runtime detection needed — the `aarch64` counterpart
-//! of SSE2's role on `x86_64`).
+//! baseline (no runtime detection needed).
 //!
 //! The §III-A predicate maps onto packed byte ops exactly as in
 //! `crate::simd` (the `x86_64` module — see its docs for the predicate
@@ -121,13 +120,12 @@ impl MatchKernel for NeonKernel {
     }
     fn count_word_u32(&self, x: u32, y: u32) -> u32 {
         // A single staged word cannot fill a register; use the paper's
-        // u32 formulation (see `Sse2Kernel::count_word_u32`).
+        // u32 formulation.
         swar::match_count_u32(x, y)
     }
     fn ops_per_staged_word(&self) -> u64 {
         // Four staged 32-bit words per 128-bit comparison sequence:
-        // the paper's per-u32 charge of 8 amortizes to 2 (same lane
-        // width and cost class as SSE2).
+        // the paper's per-u32 charge of 8 amortizes to 2.
         2
     }
     fn count_equal_width(&self, xs: &[u8], ys: &[u8]) -> u64 {
@@ -135,7 +133,7 @@ impl MatchKernel for NeonKernel {
     }
     // `count_wrapped` keeps the trait default: NEON needs no feature
     // gate, so the default's per-chunk `count_equal_width` call inlines
-    // without a `#[target_feature]` boundary (the SSE2 rationale).
+    // without a `#[target_feature]` boundary.
     fn count_equal_width_many(&self, probe: &[u8], candidates: &[&[u8]], out: &mut [u64]) {
         assert_eq!(candidates.len(), out.len(), "one output slot per candidate");
         neon_count_many(probe, candidates, out);

@@ -66,7 +66,7 @@ pub struct EngineOptions {
 /// Usage text for the shared CLI flags, for binaries that fold
 /// [`EngineOptions::set_flag`] into their `--help` output.
 pub const FLAGS_USAGE: &str = "\
-  --kernel <auto|scalar|swar32|swar64|neon|sse2|avx2|avx512>   match-count backend (default: auto)
+  --kernel <auto|scalar|swar32|swar64|neon|avx2|avx512>   match-count backend (default: auto)
   --threads <auto|serial|N>                        host parallelism (default: auto)
   --repr <auto|batmap|bitmap|tidlist|hybrid>       storage representation (default: auto)
   --load <auto|buffered|mmap>                      snapshot load path (default: auto)";
@@ -281,11 +281,11 @@ mod tests {
     #[test]
     fn serde_roundtrip_uses_knob_names() {
         let opts = EngineOptions::auto()
-            .kernel(KernelBackend::Sse2)
+            .kernel(KernelBackend::Avx2)
             .threads(Parallelism::Threads(8))
             .repr(ReprPolicy::Hybrid);
         let text = serde_json::to_string(&opts).unwrap();
-        assert!(text.contains("\"sse2\""), "{text}");
+        assert!(text.contains("\"avx2\""), "{text}");
         assert!(text.contains("\"8\""), "{text}");
         assert!(text.contains("\"hybrid\""), "{text}");
         let back: EngineOptions = serde_json::from_str(&text).unwrap();

@@ -1,6 +1,5 @@
-//! True SIMD match-count backends: SSE2 (16 lanes), AVX2 (32 lanes) and
-//! AVX-512 (64 lanes) via `std::arch`, with runtime CPU-feature
-//! detection.
+//! True SIMD match-count backends: AVX2 (32 lanes) and AVX-512 (64
+//! lanes) via `std::arch`, with runtime CPU-feature detection.
 //!
 //! The §III-A predicate — count the byte lanes whose 7 key bits agree
 //! *and* whose indicator bits OR to 1 — maps directly onto packed byte
@@ -44,9 +43,8 @@
 //!
 //! Safety: the public kernel types are safe. The AVX2 and AVX-512
 //! entry points assert feature support before entering
-//! `#[target_feature]` code (the check is one cached atomic load);
-//! SSE2 is part of the `x86_64` baseline, so its intrinsics need no
-//! detection. The whole module is compiled only on `x86_64` —
+//! `#[target_feature]` code (the check is one cached atomic load). The
+//! whole module is compiled only on `x86_64` —
 //! [`crate::kernel::KernelBackend`] reports these backends unavailable
 //! elsewhere and `resolve()` falls back to the portable SWAR kernels
 //! (or, on `aarch64`, the NEON backend in `crate::neon`).
@@ -71,130 +69,6 @@ fn check_many(probe: &[u8], candidates: &[&[u8]], out: &[u64]) {
             probe.len(),
             "batched candidates must match the probe width"
         );
-    }
-}
-
-// ---------------------------------------------------------------------
-// SSE2 — 16 lanes per 128-bit register (baseline on x86_64).
-// ---------------------------------------------------------------------
-
-/// Matching lanes of two 128-bit registers of 16 slots each, as a
-/// popcounted movemask.
-#[inline]
-fn hit_count_128(x: __m128i, y: __m128i) -> u32 {
-    // SAFETY: SSE2 is a baseline target feature of every x86_64 target.
-    unsafe {
-        let keys = _mm_and_si128(_mm_xor_si128(x, y), _mm_set1_epi8(0x7F));
-        let eq = _mm_cmpeq_epi8(keys, _mm_setzero_si128());
-        let hit = _mm_and_si128(eq, _mm_or_si128(x, y));
-        (_mm_movemask_epi8(hit) as u32).count_ones()
-    }
-}
-
-/// Equal-width count over the 16-byte body, tail through the shared
-/// SWAR path. Asserts its own length precondition — the vector loads
-/// below read both slices up to the body bound, so equal length is a
-/// safety requirement, not just a correctness one.
-fn sse2_count_equal_width(xs: &[u8], ys: &[u8]) -> u64 {
-    assert_eq!(xs.len(), ys.len(), "batmap slices must have equal width");
-    let body = xs.len() & !15;
-    let mut count = 0u64;
-    let mut base = 0;
-    while base < body {
-        // SAFETY: `base + 16 <= body <= len` on both slices; unaligned
-        // loads are explicitly permitted by `_mm_loadu_si128`.
-        let (x, y) = unsafe {
-            (
-                _mm_loadu_si128(xs.as_ptr().add(base) as *const __m128i),
-                _mm_loadu_si128(ys.as_ptr().add(base) as *const __m128i),
-            )
-        };
-        count += hit_count_128(x, y) as u64;
-        base += 16;
-    }
-    count + swar::match_count_slices(&xs[body..], &ys[body..])
-}
-
-/// One probe against a block of equal-width candidates, chunk-major:
-/// each 16-byte probe register is loaded once and compared against the
-/// same offset of every candidate in the block. Asserts the width
-/// precondition itself (the loads index every candidate up to the
-/// probe's body bound), so the function is safe without relying on the
-/// caller's [`check_many`].
-fn sse2_count_many(probe: &[u8], candidates: &[&[u8]], out: &mut [u64]) {
-    for c in candidates {
-        assert_eq!(
-            c.len(),
-            probe.len(),
-            "batched candidates must match the probe width"
-        );
-    }
-    for (block, out_block) in candidates
-        .chunks(MANY_BLOCK)
-        .zip(out.chunks_mut(MANY_BLOCK))
-    {
-        let mut acc = [0u64; MANY_BLOCK];
-        let body = probe.len() & !15;
-        let mut base = 0;
-        while base < body {
-            // SAFETY: every candidate has the probe's length (asserted
-            // above) and `base + 16 <= body`.
-            unsafe {
-                let p = _mm_loadu_si128(probe.as_ptr().add(base) as *const __m128i);
-                for (j, c) in block.iter().enumerate() {
-                    let q = _mm_loadu_si128(c.as_ptr().add(base) as *const __m128i);
-                    acc[j] += hit_count_128(p, q) as u64;
-                }
-            }
-            base += 16;
-        }
-        for (j, c) in block.iter().enumerate() {
-            out_block[j] = acc[j] + swar::match_count_slices(&probe[body..], &c[body..]);
-        }
-    }
-}
-
-/// 16 lanes per step through 128-bit SSE2 registers.
-///
-/// Part of the `x86_64` baseline instruction set, so this backend is
-/// always available on that architecture (no runtime check on the hot
-/// path).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Sse2Kernel;
-
-impl MatchKernel for Sse2Kernel {
-    fn name(&self) -> &'static str {
-        "sse2"
-    }
-    fn lanes(&self) -> usize {
-        16
-    }
-    fn count_word_u32(&self, x: u32, y: u32) -> u32 {
-        // A single staged word cannot fill a register; use the paper's
-        // u32 formulation (the simulator cost below models the staged
-        // loop, where four words share one 128-bit comparison).
-        swar::match_count_u32(x, y)
-    }
-    fn ops_per_staged_word(&self) -> u64 {
-        // Four staged 32-bit words per 128-bit comparison sequence
-        // (~8 ops): the paper's per-u32 charge of 8 amortizes to 2.
-        2
-    }
-    fn count_equal_width(&self, xs: &[u8], ys: &[u8]) -> u64 {
-        assert_eq!(xs.len(), ys.len(), "batmap slices must have equal width");
-        sse2_count_equal_width(xs, ys)
-    }
-    // `count_wrapped` keeps the trait default: on this concrete type
-    // the default's per-chunk `self.count_equal_width` call inlines to
-    // `sse2_count_equal_width` (SSE2 needs no feature gate, so there is
-    // no `#[target_feature]` region to keep the loop inside — unlike
-    // the AVX2 impl, which overrides for exactly that reason).
-    fn count_equal_width_many(&self, probe: &[u8], candidates: &[&[u8]], out: &mut [u64]) {
-        check_many(probe, candidates, out);
-        sse2_count_many(probe, candidates, out);
-    }
-    fn value_eq(&self, x: u64, y: u64) -> bool {
-        crate::kernel::branchless_eq(x, y)
     }
 }
 
@@ -268,8 +142,9 @@ unsafe fn avx2_count_wrapped(large: &[u8], small: &[u8]) -> u64 {
     count
 }
 
-/// One probe against a block of equal-width candidates, chunk-major
-/// (see [`sse2_count_many`]).
+/// One probe against a block of equal-width candidates, chunk-major:
+/// each 32-byte probe register is loaded once and compared against the
+/// same offset of every candidate in the block.
 ///
 /// # Safety
 /// The CPU must support AVX2; every candidate must have the probe's
@@ -311,9 +186,9 @@ impl MatchKernel for Avx2Kernel {
         32
     }
     fn count_word_u32(&self, x: u32, y: u32) -> u32 {
-        // Single staged word: the vector width buys nothing here (see
-        // `Sse2Kernel::count_word_u32`); cost is modelled by
-        // `ops_per_staged_word` for the staged loop instead.
+        // A single staged word cannot fill a register; use the paper's
+        // u32 formulation. Cost is modelled by `ops_per_staged_word`
+        // for the staged loop instead.
         swar::match_count_u32(x, y)
     }
     fn ops_per_staged_word(&self) -> u64 {
@@ -425,7 +300,7 @@ unsafe fn avx512_count_wrapped(large: &[u8], small: &[u8]) -> u64 {
 }
 
 /// One probe against a block of equal-width candidates, chunk-major
-/// (see [`sse2_count_many`]).
+/// (see [`avx2_count_many`]).
 ///
 /// # Safety
 /// The CPU must support AVX-512F and AVX-512BW; every candidate must
@@ -468,7 +343,7 @@ impl MatchKernel for Avx512Kernel {
     }
     fn count_word_u32(&self, x: u32, y: u32) -> u32 {
         // Single staged word: the vector width buys nothing here (see
-        // `Sse2Kernel::count_word_u32`).
+        // `Avx2Kernel::count_word_u32`).
         swar::match_count_u32(x, y)
     }
     fn ops_per_staged_word(&self) -> u64 {
@@ -538,18 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn sse2_matches_scalar_on_ragged_widths() {
-        for len in [0usize, 1, 7, 15, 16, 17, 31, 32, 33, 63, 64, 100, 255, 1024] {
-            let (xs, ys) = sample(len, 0xACE + len as u64);
-            assert_eq!(
-                Sse2Kernel.count_equal_width(&xs, &ys),
-                ScalarKernel.count_equal_width(&xs, &ys),
-                "len {len}"
-            );
-        }
-    }
-
-    #[test]
     fn avx2_matches_scalar_on_ragged_widths() {
         if !avx2_available() {
             eprintln!("skipping: no AVX2 on this CPU");
@@ -587,7 +450,6 @@ mod tests {
             let (small, _) = sample(small_len, 3);
             let (large, _) = sample(small_len * 5, 4);
             let expect = ScalarKernel.count_wrapped(&large, &small);
-            assert_eq!(Sse2Kernel.count_wrapped(&large, &small), expect);
             if avx2_available() {
                 assert_eq!(Avx2Kernel.count_wrapped(&large, &small), expect);
             }
@@ -607,10 +469,7 @@ mod tests {
             .map(|c| ScalarKernel.count_equal_width(&probe, c))
             .collect();
         let mut out = vec![0u64; cands.len()];
-        Sse2Kernel.count_equal_width_many(&probe, &cands, &mut out);
-        assert_eq!(out, expect, "sse2 batched");
         if avx2_available() {
-            out.fill(0);
             Avx2Kernel.count_equal_width_many(&probe, &cands, &mut out);
             assert_eq!(out, expect, "avx2 batched");
         }
@@ -622,11 +481,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "batched candidates must match the probe width")]
     fn batched_rejects_width_mismatch() {
+        // The width check runs before the feature check, so this holds
+        // on a CPU without AVX2 too.
         let probe = vec![0x7Fu8; 32];
         let narrow = vec![0x7Fu8; 16];
         let mut out = [0u64; 1];
-        Sse2Kernel.count_equal_width_many(&probe, &[&narrow], &mut out);
+        Avx2Kernel.count_equal_width_many(&probe, &[&narrow], &mut out);
     }
 }

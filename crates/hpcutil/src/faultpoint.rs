@@ -15,8 +15,8 @@
 //! armed sites. A disarmed `fault_point!` compiles to a single
 //! `AtomicUsize::load(Relaxed)` and a predictable branch — no lock, no
 //! hash lookup, no allocation — so the sites can stay in release builds
-//! and hot paths permanently (the perf suite asserts the per-hit cost
-//! is negligible against the serving path). Only while at least one
+//! and hot paths permanently (the perf suite gates the per-hit cost at
+//! ≤1% of a served query). Only while at least one
 //! site is armed does a hit take the registry lock.
 //!
 //! # Spec grammar

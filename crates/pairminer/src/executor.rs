@@ -90,6 +90,25 @@ impl TilePlan {
         }
     }
 
+    /// The miner's plan over `pre`: the sorted positions whose support
+    /// (stored elements plus failed insertions) reaches `minsup`. A
+    /// pair is never more frequent than either of its items (Apriori's
+    /// anti-monotone property), so an infrequent item joins no reported
+    /// pair and is never swept. At `minsup ≤ 1` this is the identity
+    /// plan over every padded position.
+    pub fn for_minsup(pre: &Preprocessed, minsup: u64, k: usize) -> Self {
+        if minsup <= 1 {
+            return Self::new(pre.padded_items(), k);
+        }
+        let frequent = (0..pre.n_items)
+            .filter(|&s| {
+                let s = s as usize;
+                (pre.payload(s).len() + pre.failed_for(s).len()) as u64 >= minsup
+            })
+            .collect();
+        Self::over(frequent, k)
+    }
+
     /// The planned sets' sorted positions, by plan index (ascending).
     pub fn sets(&self) -> &[u32] {
         &self.sets

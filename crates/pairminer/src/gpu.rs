@@ -422,7 +422,7 @@ mod tests {
         let mut prev: Option<(f64, Vec<u64>)> = None;
         for backend in [
             KernelBackend::SwarU32,
-            KernelBackend::Sse2,
+            KernelBackend::Neon,
             KernelBackend::Avx2,
         ] {
             if !backend.is_available() {

@@ -230,11 +230,8 @@ pub fn mine_preprocessed(
 
 /// The engine-independent tile pipeline over a built corpus.
 ///
-/// The tile plan covers only the sets whose support reaches `minsup`:
-/// a pair is never more frequent than either of its items (Apriori's
-/// anti-monotone property), so an infrequent item joins no reported
-/// pair and is never swept. At `minsup ≤ 1` the plan is the identity
-/// over every padded position.
+/// The tile plan covers only the sets whose support reaches `minsup`
+/// ([`TilePlan::for_minsup`]).
 fn mine_over(
     db: &TransactionDb,
     pre: &Preprocessed,
@@ -242,17 +239,7 @@ fn mine_over(
     preprocess_s: f64,
     config: &MinerConfig,
 ) -> MiningReport {
-    let plan = if config.minsup <= 1 {
-        TilePlan::new(pre.padded_items(), config.k)
-    } else {
-        let frequent = (0..pre.n_items)
-            .filter(|&s| {
-                let s = s as usize;
-                (pre.payload(s).len() + pre.failed_for(s).len()) as u64 >= config.minsup
-            })
-            .collect();
-        TilePlan::over(frequent, config.k)
-    };
+    let plan = TilePlan::for_minsup(pre, config.minsup, config.k);
     let failed = FailedPairs::for_plan(pre, db, &plan);
     // Original item id of each planned real set, by plan index; later
     // plan indices are padding.

@@ -68,7 +68,7 @@ pub struct EngineConfig {
     /// Admission-queue batching: when true (the default), a worker
     /// coalesces all drained count probes sharing a probe set into one
     /// one-vs-many sweep; when false every query runs pairwise, which
-    /// is what the `serve_qps` scenario's unbatched arm measures.
+    /// is what `perf_suite`'s `serve.coalesced` ratio compares against.
     pub batching: bool,
     /// Cap on itemsets returned by one [`Request::Mine`] (the summary
     /// notes truncation).
@@ -145,7 +145,6 @@ enum ProbeData {
 /// One top-k query scattered across all shards of a corpus.
 struct TopKJob {
     id: u64,
-    corpus: usize,
     probe: ProbeData,
     k: usize,
     /// Shards yet to finish; the worker that takes this to zero merges
@@ -380,7 +379,6 @@ impl QueryEngine {
                 }
                 let job = Arc::new(TopKJob {
                     id,
-                    corpus: corpus as usize,
                     probe,
                     k: k as usize,
                     remaining: AtomicUsize::new(shards as usize),
@@ -749,7 +747,6 @@ fn finish_topk(job: &Arc<TopKJob>) {
         hits.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         hits.truncate(job.k);
         send(&job.reply, job.id, Response::TopK(hits));
-        let _ = job.corpus; // routing metadata; kept for debuggability
     }
 }
 

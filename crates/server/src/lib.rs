@@ -24,10 +24,10 @@
 //!    probes against the same set into one
 //!    [`batmap::intersect::count_mixed_one_vs_many_into`] sweep, so the
 //!    probe's fingerprint check happens once and its slot bytes stay
-//!    hot in registers across candidates. Under concurrent load this
-//!    is the headline mechanism: batched throughput *exceeds*
-//!    one-query-at-a-time QPS (the `serve_qps` perf scenario asserts
-//!    it).
+//!    hot in registers across candidates. Coalesced answers are
+//!    byte-identical to a pairwise replay; at equal concurrency the
+//!    throughput gain over batching off is still within noise
+//!    (`perf_suite` prints it as `serve.coalesced`, ungated).
 //! 4. **Exactness** — stored payloads under-count when cuckoo
 //!    insertions failed at preprocessing time; every query path applies
 //!    the same failed-element corrections the mining pipeline uses, so

@@ -1,5 +1,5 @@
 //! Property tests pinning the true SIMD match kernels
-//! (SSE2/AVX2/AVX-512 on x86_64, NEON on aarch64) and the batched
+//! (AVX2/AVX-512 on x86_64, NEON on aarch64) and the batched
 //! one-vs-many driver to the scalar reference, plus unit tests of the
 //! `Auto`/`BATMAP_KERNEL` resolution policy.
 //!
@@ -20,17 +20,14 @@ use std::sync::Arc;
 const M: u64 = 30_000;
 
 /// SIMD-capable backends only (lanes wider than one register byte
-/// stream): the subject of this file. SSE2/AVX2/AVX-512 on x86_64 (the
-/// latter two as CPU support permits), NEON on aarch64, empty elsewhere.
+/// stream): the subject of this file. AVX2/AVX-512 on x86_64 as CPU
+/// support permits, NEON on aarch64, empty elsewhere.
 fn simd_backends() -> Vec<KernelBackend> {
     available_backends()
         .filter(|b| {
             matches!(
                 b,
-                KernelBackend::Sse2
-                    | KernelBackend::Avx2
-                    | KernelBackend::Avx512
-                    | KernelBackend::Neon
+                KernelBackend::Avx2 | KernelBackend::Avx512 | KernelBackend::Neon
             )
         })
         .collect()
@@ -39,9 +36,9 @@ fn simd_backends() -> Vec<KernelBackend> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// SSE2/AVX2 `count_equal_width` equals the scalar reference for
+    /// SIMD `count_equal_width` equals the scalar reference for
     /// arbitrary widths — including ragged tails shorter than one
-    /// 16/32-byte register and widths straddling register boundaries.
+    /// register and widths straddling register boundaries.
     #[test]
     fn simd_equal_width_matches_scalar(
         bytes in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..200),
@@ -58,7 +55,7 @@ proptest! {
         }
     }
 
-    /// SSE2/AVX2 `count_wrapped` equals the scalar reference on the §II
+    /// SIMD `count_wrapped` equals the scalar reference on the §II
     /// small-vs-large chunk layout — small widths below one register
     /// included, so the wrapped loop exercises pure-tail chunks.
     #[test]
@@ -193,7 +190,6 @@ fn auto_resolution_under_forced_overrides() {
         ("swar32", KernelBackend::SwarU32),
         ("swar64", KernelBackend::SwarU64),
         ("neon", KernelBackend::Neon),
-        ("sse2", KernelBackend::Sse2),
         ("avx2", KernelBackend::Avx2),
         ("avx512", KernelBackend::Avx512),
     ] {
@@ -222,13 +218,13 @@ fn simd_backends_report_their_lane_widths() {
         let kernel = backend.kernel();
         let lanes = kernel.lanes();
         match backend {
-            KernelBackend::Sse2 | KernelBackend::Neon => assert_eq!(lanes, 16),
+            KernelBackend::Neon => assert_eq!(lanes, 16),
             KernelBackend::Avx2 => assert_eq!(lanes, 32),
             KernelBackend::Avx512 => assert_eq!(lanes, 64),
             _ => unreachable!(),
         }
         // The GPU simulator's amortized per-staged-word charge shrinks
-        // with lane width — 32/lanes·4, i.e. 2 for sse2/neon, 1 for
+        // with lane width — 32/lanes·4, i.e. 2 for neon, 1 for
         // avx2 — but floors at one scalar op, so avx512 also charges 1.
         assert_eq!(kernel.ops_per_staged_word(), ((32 / lanes) as u64).max(1));
     }
