@@ -287,41 +287,52 @@ fn kernel_gates(args: &Args, gates: &mut Gates) {
 }
 
 /// Parallel vs serial: the same `mine` on the calling thread and on
-/// every worker of the ambient pool, at the instance's recommended
-/// `minsup` so the sweep, not building the reported pair map, is the
-/// work being split.
+/// every worker of the ambient pool, on two uniform instances at 2%
+/// density. `mine.parallel` runs 1,024 items at the instance's
+/// recommended `minsup`, where the band sweep is most of the work;
+/// `mine.parallel.large` runs 2,048 items at `minsup` 1, where every
+/// co-occurring pair is reported and the workers' harvest plus the one
+/// serial build of the result map are a large share of it. Both bounds
+/// are 1.15× (the large arm's from twelve `--quick` runs: median 1.30×,
+/// quartiles 1.27–1.34×, lowest 1.19×).
 fn parallel_gate(args: &Args, gates: &mut Gates) {
     let threads = Parallelism::Auto.resolve_with(rayon::current_num_threads());
     if threads < 2 {
         println!("skip mine.parallel: one worker thread, nothing to parallelize");
         return;
     }
-    let db = generate(&UniformSpec {
-        n_items: 1_024,
-        density: 0.02,
-        total_items: 100_000,
-        seed: args.seed,
-    });
-    let config = |threads: Parallelism| MinerConfig {
-        k: 64,
-        minsup: bench::recommended_minsup(&db),
-        engine: Engine::Cpu,
-        options: EngineOptions::auto().threads(threads),
-        ..Default::default()
-    };
-    let (serial, parallel) = (config(Parallelism::Serial), config(Parallelism::Auto));
-    gates.judge(&format!("mine.parallel.{threads}t"), 1.15, || {
-        // Fewer rounds than the micro gates: each arm is a whole `mine`.
-        ab_ratios(
-            rounds(args).min(7),
-            || {
-                std::hint::black_box(mine(&db, &serial));
-            },
-            || {
-                std::hint::black_box(mine(&db, &parallel));
-            },
-        )
-    });
+    for (name, n_items, minsup) in [
+        ("mine.parallel", 1_024, None),
+        ("mine.parallel.large", 2_048, Some(1)),
+    ] {
+        let db = generate(&UniformSpec {
+            n_items,
+            density: 0.02,
+            total_items: 100_000,
+            seed: args.seed,
+        });
+        let minsup = minsup.unwrap_or_else(|| bench::recommended_minsup(&db));
+        let config = |threads: Parallelism| MinerConfig {
+            k: 64,
+            minsup,
+            engine: Engine::Cpu,
+            options: EngineOptions::auto().threads(threads),
+            ..Default::default()
+        };
+        let (serial, parallel) = (config(Parallelism::Serial), config(Parallelism::Auto));
+        gates.judge(&format!("{name}.{threads}t"), 1.15, || {
+            // Fewer rounds than the micro gates: each arm is a whole `mine`.
+            ab_ratios(
+                rounds(args).min(7),
+                || {
+                    std::hint::black_box(mine(&db, &serial));
+                },
+                || {
+                    std::hint::black_box(mine(&db, &parallel));
+                },
+            )
+        });
+    }
 }
 
 /// Discards tile counts: the plan gate times the sweep alone.

@@ -75,11 +75,11 @@ pub struct Timings {
     pub transfer_s: f64,
     /// Tile comparison time: simulated device seconds for the GPU
     /// engine; for the CPU engine, at every worker count, wall time of
-    /// the whole band region, in-worker harvesting and failed-pair
-    /// merging included.
+    /// the whole band region, with the workers' harvest (failed-pair
+    /// merge, threshold, remap to original ids) included.
     pub kernel_s: f64,
-    /// The original-id remap, plus (GPU engine only) the host-side
-    /// harvesting and failed-pair merging that the CPU engine counts in
+    /// The one build of the result map at its final size, plus (GPU
+    /// engine only) the host-side harvest that the CPU engine counts in
     /// `kernel_s`.
     pub postprocess_s: f64,
 }
@@ -125,15 +125,17 @@ pub struct MiningReport {
 }
 
 /// The miner's [`TileConsumer`]: folds each band's (or tile's) counts
-/// straight into a sparse plan-index pair map via [`harvest_tile`].
-/// One instance per worker; workers own disjoint bands, so merging is a
-/// plain union.
+/// straight into a flat list of reported pairs, already keyed by
+/// original item id, via [`harvest_tile`]. One instance per worker;
+/// workers own disjoint bands, so merging is a plain append and the
+/// result map is built once, at its final size, by [`mine_over`].
 struct HarvestConsumer<'a> {
-    /// Planned real sets; plan indices at or past this are padding.
-    planned: usize,
+    /// Original item id of each planned real set, by plan index; plan
+    /// indices at or past its length are padding.
+    ids: &'a [u32],
     failed: &'a FailedPairs,
     minsup: u64,
-    out: PairMap,
+    out: Vec<((u32, u32), u64)>,
 }
 
 impl TileConsumer for HarvestConsumer<'_> {
@@ -141,19 +143,17 @@ impl TileConsumer for HarvestConsumer<'_> {
         harvest_tile(
             tile,
             counts,
-            self.planned,
+            self.ids,
             self.failed.for_band(tile),
             self.minsup,
             &mut self.out,
         );
     }
 
-    fn absorb(&mut self, other: Self) {
-        // Bands partition the pair space, so keys never collide across
-        // workers; `+=` keeps the merge robust regardless.
-        for (key, support) in other.out {
-            *self.out.entry(key).or_insert(0) += support;
-        }
+    fn absorb(&mut self, mut other: Self) {
+        // Bands partition the pair space, so no key repeats across
+        // workers.
+        self.out.append(&mut other.out);
     }
 }
 
@@ -196,7 +196,7 @@ pub fn mine(db: &TransactionDb, config: &MinerConfig) -> MiningReport {
 /// the corpus was built from (pinned by `tests/snapshot.rs`).
 ///
 /// `db` must be the database `pre` was preprocessed from (it backs the
-/// failed-insertion recovery path and the final id remap). Of the
+/// failed-insertion recovery path). Of the
 /// configuration, only `k`, `minsup`, `engine`, and `options.threads`
 /// apply here; `seed`, `max_loop`, and the kernel/repr knobs were fixed
 /// at preprocessing time and travel inside `pre.params` / the arena's
@@ -250,10 +250,10 @@ fn mine_over(
         .collect();
 
     let make = || HarvestConsumer {
-        planned: ids.len(),
+        ids: &ids,
         failed: &failed,
         minsup: config.minsup,
-        out: PairMap::default(),
+        out: Vec::new(),
     };
     let (harvested, exec) = match &config.engine {
         Engine::Gpu(device) => GpuSimExecutor { device }.execute(pre, &plan, make),
@@ -262,16 +262,14 @@ fn mine_over(
         }
         .execute(pre, &plan, make),
     };
-    let mut postprocess_s = exec.consume_s;
 
-    // Remap plan indices to original item ids (thresholding already
-    // happened per tile, as the paper does when each Z_{p,q} returns).
+    // The one result-map build, at final size (thresholding and the id
+    // remap already happened per tile, as the paper does when each
+    // Z_{p,q} returns).
     let mut post = Stopwatch::start();
-    let mut pairs = PairMap::default();
-    for ((i, j), support) in harvested.out {
-        pairs.insert(pair_key(ids[i as usize], ids[j as usize]), support);
-    }
-    postprocess_s += post.lap().as_secs_f64();
+    let mut pairs = PairMap::with_capacity_and_hasher(harvested.out.len(), Default::default());
+    pairs.extend(harvested.out);
+    let postprocess_s = exec.consume_s + post.lap().as_secs_f64();
 
     let memory = MemoryReport {
         tidlists_bytes,
@@ -298,47 +296,51 @@ fn mine_over(
     }
 }
 
-/// Fold one band's (or tile's) dense counts into the sparse plan-index
-/// pair map: apply the diagonal triangle filter, drop padding (plan
-/// indices at or past `n`, the count of planned real sets), merge the
-/// band's `M_{p,q}` missing pairs, and threshold by `minsup` — all in
-/// one pass, mirroring the paper's "extend Z_{p,q} with M_{p,q} before
-/// reporting" streaming postprocess.
+/// Fold one band's (or tile's) dense counts into `out` as
+/// original-id pairs: apply the diagonal triangle filter, drop padding
+/// (plan indices at or past `ids.len()`, the count of planned real
+/// sets), merge the band's `M_{p,q}` missing pairs, threshold by
+/// `minsup`, and remap each reported plan-index pair through `ids` —
+/// all in one pass, mirroring the paper's "extend Z_{p,q} with M_{p,q}
+/// before reporting" streaming postprocess.
 ///
-/// `extras` are sorted by `(sᵢ, sⱼ)`, the order the band's cells are
-/// walked in, so they merge by position. Every missing pair has
-/// `sᵢ < sⱼ < n` and so lies on a visited cell.
+/// `extras` are keyed by plan index and sorted by `(sᵢ, sⱼ)`, the
+/// order the band's cells are walked in, so they merge by position.
+/// Every missing pair has `sᵢ < sⱼ < ids.len()` and so lies on a
+/// visited cell; one that does not panics rather than undercount.
 fn harvest_tile(
     tile: &Tile,
     counts: &[u64],
-    n: usize,
+    ids: &[u32],
     extras: &[MissingPair],
     minsup: u64,
-    out: &mut PairMap,
+    out: &mut Vec<((u32, u32), u64)>,
 ) {
+    let n = ids.len();
     let minsup = minsup.max(1);
     // Columns past the last real item are padding.
     let cols = tile.cols.min(n.saturating_sub(tile.col_base));
+    let col_ids = &ids[tile.col_base.min(n)..][..cols];
     let mut extras = extras.iter().peekable();
     for i in 0..tile.rows {
         let gi = tile.row_base + i;
         if gi >= n {
             break; // padding rows are at the end of the plan
         }
-        let first = tile.first_reported_col(i);
+        let (id_i, first) = (ids[gi], tile.first_reported_col(i));
         let row = &counts[i * tile.cols..(i + 1) * tile.cols];
-        for (j, &c) in row.iter().enumerate().take(cols).skip(first) {
-            let key = (gi as u32, (tile.col_base + j) as u32);
-            let c = match extras.next_if(|(at, _)| *at == key) {
+        for (j, (&c, &id_j)) in row.iter().zip(col_ids).enumerate().skip(first) {
+            let at = (gi as u32, (tile.col_base + j) as u32);
+            let c = match extras.next_if(|(key, _)| *key == at) {
                 Some((_, extra)) => c + extra,
                 None => c,
             };
             if c >= minsup {
-                out.insert(key, c);
+                out.push((pair_key(id_i, id_j), c));
             }
         }
     }
-    debug_assert!(extras.next().is_none(), "a missing pair missed its cell");
+    assert!(extras.next().is_none(), "a missing pair missed its cell");
 }
 
 #[cfg(test)]
@@ -365,6 +367,117 @@ mod tests {
             k,
             ..Default::default()
         }
+    }
+
+    /// Dense band counts for [`harvest_tile`]: `real(gi, gj)` on cells
+    /// that may be reported, and `minsup + 10` on every cell that must
+    /// not be (at or below the diagonal, padding row or column), so a
+    /// missed filter shows up as an extra pair.
+    fn band_counts(
+        band: &Tile,
+        n: usize,
+        minsup: u64,
+        real: impl Fn(usize, usize) -> u64,
+    ) -> Vec<u64> {
+        let mut counts = Vec::new();
+        for gi in band.row_base..band.row_base + band.rows {
+            for gj in band.col_base..band.col_base + band.cols {
+                let reportable = gi < gj && gj < n;
+                counts.push(if reportable {
+                    real(gi, gj)
+                } else {
+                    minsup + 10
+                });
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn harvest_tile_matches_brute_force_over_bands() {
+        // 20 planned sets padded to 32 plan indices at k = 16; original
+        // ids are a permutation, so remapped keys flip order.
+        let n = 20;
+        let ids: Vec<u32> = (0..n as u32).map(|i| (i * 7 + 3) % 23).collect();
+        let minsup = 3;
+        let real = |gi: usize, gj: usize| ((gi * 5 + gj * 3) % 5) as u64;
+        // Each band: two missing pairs in plan indices, sorted — one
+        // lifts a count from minsup − 1 to minsup, one stays below.
+        let diagonal = Tile {
+            p: 1,
+            q: 1,
+            row_base: 16,
+            col_base: 16,
+            rows: 8,
+            cols: 16,
+        };
+        let off_diagonal = Tile {
+            p: 0,
+            q: 1,
+            row_base: 8,
+            col_base: 16,
+            rows: 8,
+            cols: 16,
+        };
+        for (band, lift, below) in [
+            (diagonal, (16u32, 18u32), (17u32, 19u32)),
+            (off_diagonal, (9, 17), (12, 19)),
+        ] {
+            let cell = move |gi: usize, gj: usize| match (gi as u32, gj as u32) {
+                at if at == lift => minsup - 1,
+                at if at == below => minsup - 2,
+                _ => real(gi, gj),
+            };
+            let counts = band_counts(&band, n, minsup, cell);
+            let extras: Vec<MissingPair> = vec![(lift, 1), (below, 1)];
+
+            let mut out = Vec::new();
+            harvest_tile(&band, &counts, &ids, &extras, minsup, &mut out);
+
+            let mut expect = Vec::new();
+            for gi in band.row_base..(band.row_base + band.rows).min(n) {
+                for gj in (gi + 1).max(band.col_base)..(band.col_base + band.cols).min(n) {
+                    let extra: u64 = extras
+                        .iter()
+                        .filter(|(at, _)| *at == (gi as u32, gj as u32))
+                        .map(|(_, e)| e)
+                        .sum();
+                    let c = cell(gi, gj) + extra;
+                    if c >= minsup {
+                        expect.push((pair_key(ids[gi], ids[gj]), c));
+                    }
+                }
+            }
+            out.sort_unstable();
+            expect.sort_unstable();
+            assert!(!expect.is_empty(), "{band:?}");
+            assert_eq!(out, expect, "{band:?}");
+
+            let key = |(i, j): (u32, u32)| pair_key(ids[i as usize], ids[j as usize]);
+            assert!(out.contains(&(key(lift), minsup)), "{band:?}: lifted pair");
+            assert!(
+                out.iter().all(|&(k, _)| k != key(below)),
+                "{band:?}: below minsup"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a missing pair missed its cell")]
+    fn harvest_tile_rejects_a_missing_pair_off_its_band() {
+        // A missing pair in a padding column is never visited: it must
+        // fail loudly, not undercount.
+        let ids: Vec<u32> = (0..20).collect();
+        let band = Tile {
+            p: 0,
+            q: 1,
+            row_base: 0,
+            col_base: 16,
+            rows: 16,
+            cols: 16,
+        };
+        let counts = vec![0; band.rows * band.cols];
+        harvest_tile(&band, &counts, &ids, &[((3, 25), 1)], 1, &mut Vec::new());
     }
 
     #[test]
