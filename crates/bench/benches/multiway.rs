@@ -1,7 +1,7 @@
 //! Multiway intersection (§V extension): the d-of-(d+1) positional
 //! sweep vs probe counting on ordinary batmaps, for k = 2, 3, 4; and
-//! the batched sparse-profile pass (a base of k−1 maps against 64
-//! candidates) vs one dense sweep per candidate.
+//! one dense sweep per candidate for a base of k−1 maps against 64
+//! candidates.
 
 use batmap::{intersect_count_probe, Batmap, BatmapParams, MultiwayBatmap, MultiwayParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -45,9 +45,6 @@ fn bench_multiway(c: &mut Criterion) {
             b.iter(|| black_box(intersect_count_probe(&prefs)))
         });
         let base = &mrefs[..k - 1];
-        g.bench_function(BenchmarkId::new("batched_many", k), |b| {
-            b.iter(|| black_box(MultiwayBatmap::intersect_count_many(base, &crefs)))
-        });
         g.bench_function(BenchmarkId::new("dense_per_candidate", k), |b| {
             b.iter(|| {
                 let mut ops = base.to_vec();

@@ -68,9 +68,8 @@
 //!   [`exact_pair_count`], the one correction that turns a stored×stored
 //!   count into an exact answer over failed insertions and live deltas.
 //! * [`analysis`] — empirical validation of the §II-B bounds.
-//! * [`multiway`] — the §V extensions: d-of-(d+1) batmaps (with the
-//!   batched one-vs-many driver the levelwise miner uses) and probe
-//!   counting.
+//! * [`multiway`] — the §V extensions, reproduced: d-of-(d+1) batmaps
+//!   and probe counting.
 //! * [`space`] — space accounting vs the information-theoretic minimum.
 //!
 //! ## Environment overrides

@@ -25,13 +25,11 @@
 //! kernel. ARCHITECTURE.md, "Deviations from the paper" (item 4),
 //! lists compressing it as future work.
 //!
-//! Two counting paths share the structure.
 //! [`MultiwayBatmap::intersect_count`] is the paper-shaped dense sweep
-//! over every position, the GPU's data-independent loop.
-//! [`MultiwayBatmap::intersect_count_many`] is the CPU's batched path:
-//! it folds a shared base once into the sparse list of positions its
-//! intersection occupies and probes each candidate there only. The
-//! dense sweep is its test oracle.
+//! over every position, the GPU's data-independent loop. This module is
+//! the §V reproduction only: the levelwise miner
+//! (`pairminer::levelwise`) counts levels ≥ 3 over exact tidlists
+//! (ARCHITECTURE.md, "Deviations from the paper", item 5).
 
 use crate::batmap::AsSlots;
 use crate::hash::Permutation;
@@ -311,137 +309,6 @@ impl MultiwayBatmap {
         params.kernel.dispatch(Sweep(maps))
     }
 
-    /// Batched one-vs-many `d`-way counting:
-    /// `out[i] = |⋂ base ∪ {many[i]}|`, mirroring the pairwise
-    /// [`crate::intersect::count_one_vs_many_into`] driver.
-    ///
-    /// The backend is dispatched **once for the whole batch**, and the
-    /// shared `base` operands are folded once into a **sparse profile**:
-    /// one entry `(table, value, omitted mask)` per position where every
-    /// base operand holds the same element, found by walking the
-    /// narrowest base operand's occupied slots and probing the others.
-    /// Entries whose table no candidate could make canonical are
-    /// dropped, which leaves at most two per element. Each candidate
-    /// then costs one slot probe per entry, O(|⋂ base|), instead of
-    /// the dense sweep's O((d+1)·r) positions. The
-    /// counts equal [`MultiwayBatmap::intersect_count`]'s exactly:
-    /// ranges are powers of two, so a permuted value `πₜ(x)` can only
-    /// sit at slot `πₜ(x) mod r` of any operand, and the sparse pass
-    /// visits precisely the positions the dense sweep can count.
-    ///
-    /// This is the bulk primitive the levelwise miner's Apriori
-    /// counting uses: candidates generated by a prefix join share their
-    /// `k−1` leading items, which become `base`.
-    ///
-    /// # Panics
-    /// Panics if `base` is empty, if `base.len() + 1` exceeds `d`, or
-    /// if any operand comes from a different universe.
-    pub fn intersect_count_many(base: &[&MultiwayBatmap], many: &[&MultiwayBatmap]) -> Vec<u64> {
-        let mut out = vec![0u64; many.len()];
-        Self::intersect_count_many_into(base, many, &mut out);
-        out
-    }
-
-    /// [`MultiwayBatmap::intersect_count_many`] writing into a
-    /// caller-provided slice (hot loops reuse their buffers).
-    ///
-    /// # Panics
-    /// Panics on the same conditions as
-    /// [`MultiwayBatmap::intersect_count_many`], or if
-    /// `out.len() != many.len()`.
-    pub fn intersect_count_many_into(
-        base: &[&MultiwayBatmap],
-        many: &[&MultiwayBatmap],
-        out: &mut [u64],
-    ) {
-        assert!(!base.is_empty(), "need at least one base operand");
-        assert_eq!(out.len(), many.len(), "one output slot per candidate");
-        let params = &base[0].params;
-        assert!(
-            base.len() < params.d,
-            "d-of-(d+1) supports at most d = {} operands, got {} base + 1",
-            params.d,
-            base.len()
-        );
-        let fp = params.fingerprint();
-        assert!(
-            base.iter()
-                .chain(many.iter())
-                .all(|m| m.params.fingerprint() == fp),
-            "operands from different universes"
-        );
-        if many.is_empty() {
-            return;
-        }
-        struct SweepMany<'a, 'b> {
-            base: &'a [&'b MultiwayBatmap],
-            many: &'a [&'b MultiwayBatmap],
-            out: &'a mut [u64],
-        }
-        impl KernelDispatch for SweepMany<'_, '_> {
-            type Output = ();
-            fn run<K: MatchKernel>(self, kernel: K) {
-                MultiwayBatmap::sweep_many(&kernel, self.base, self.many, self.out);
-            }
-        }
-        params.kernel.dispatch(SweepMany { base, many, out });
-    }
-
-    /// The batched body: fold `base` once into a sparse profile of the
-    /// positions its intersection occupies, then probe each candidate
-    /// at those positions only.
-    fn sweep_many<K: MatchKernel>(
-        kernel: &K,
-        base: &[&MultiwayBatmap],
-        many: &[&MultiwayBatmap],
-        out: &mut [u64],
-    ) {
-        /// One position of the base intersection: table, permuted
-        /// value, and the OR of the base operands' omitted-table bits.
-        struct Live {
-            t: usize,
-            value: u64,
-            mask: u32,
-        }
-        let tables = base[0].params.tables();
-        // Every element of the base intersection is in the narrowest
-        // operand, so its occupied slots drive the fold; a value can
-        // only sit at slot `value mod r` of any other operand.
-        let driver = base.iter().min_by_key(|m| m.r).expect("non-empty base");
-        let mut live = Vec::new();
-        for t in 0..tables {
-            let row = &driver.values[t * driver.r as usize..(t + 1) * driver.r as usize];
-            for &value in row {
-                if value == EMPTY
-                    || !base
-                        .iter()
-                        .all(|m| kernel.value_eq(m.values[m.slot(t, value)], value))
-                {
-                    continue;
-                }
-                let mask = base
-                    .iter()
-                    .fold(0u32, |acc, m| acc | 1 << m.omitted[m.slot(t, value)]);
-                // Keep the position only if some candidate omitted
-                // table could make `t` canonical: at most two tables
-                // per element survive.
-                if (0..tables).any(|o| canonical(mask | 1 << o) == t) {
-                    live.push(Live { t, value, mask });
-                }
-            }
-        }
-        for (cand, slot) in many.iter().zip(out.iter_mut()) {
-            *slot = live
-                .iter()
-                .filter(|e| {
-                    let cs = cand.slot(e.t, e.value);
-                    kernel.value_eq(cand.values[cs], e.value)
-                        && canonical(e.mask | 1 << cand.omitted[cs]) == e.t
-                })
-                .count() as u64;
-        }
-    }
-
     /// The generalized positional sweep, monomorphized per backend.
     fn sweep<K: MatchKernel>(kernel: &K, maps: &[&MultiwayBatmap]) -> u64 {
         let params = &maps[0].params;
@@ -490,13 +357,6 @@ impl MultiwayBatmap {
     pub fn storage_bytes(&self) -> usize {
         self.values.len() * 8 + self.omitted.len()
     }
-}
-
-/// The table that counts a common element whose operands omit the
-/// tables in `mask`: the smallest table none of them omits.
-#[inline]
-fn canonical(mask: u32) -> usize {
-    (!mask).trailing_zeros() as usize
 }
 
 /// The paper's second §V sketch: k-way intersection with ordinary
@@ -674,73 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_many_matches_pointwise() {
-        let p = multi_params(30_000, 4);
-        // Sizes chosen to keep the per-table cuckoo load comfortably
-        // below the sizing bound (sizes just under a power-of-two
-        // boundary can legitimately fail to build at d = 4 — that is
-        // the miner's fallback path, not this test's subject).
-        let base_sets: Vec<Vec<u32>> = vec![
-            (0..2000).map(|i| i * 2 % 30_000).collect(),
-            (0..1200).map(|i| i * 3 % 30_000).collect(),
-        ];
-        let cand_sets: Vec<Vec<u32>> = [80usize, 300, 500, 1000, 2200]
-            .iter()
-            .enumerate()
-            .map(|(k, &n)| (0..n as u32).map(|i| i * (k as u32 + 2) % 30_000).collect())
-            .collect();
-        let base_maps: Vec<MultiwayBatmap> = base_sets
-            .iter()
-            .map(|s| MultiwayBatmap::build_with_growth(p.clone(), s, 2).expect("base builds"))
-            .collect();
-        let cand_maps: Vec<MultiwayBatmap> = cand_sets
-            .iter()
-            .map(|s| MultiwayBatmap::build_with_growth(p.clone(), s, 2).expect("candidate builds"))
-            .collect();
-        let base: Vec<&MultiwayBatmap> = base_maps.iter().collect();
-        let many: Vec<&MultiwayBatmap> = cand_maps.iter().collect();
-        // Candidate ranges both above and below the base range.
-        let widths: BTreeSet<u64> = cand_maps.iter().map(MultiwayBatmap::range).collect();
-        assert!(widths.len() > 1, "fixture must exercise mixed ranges");
-        let got = MultiwayBatmap::intersect_count_many(&base, &many);
-        for (i, cand) in many.iter().enumerate() {
-            let mut ops = base.clone();
-            ops.push(cand);
-            assert_eq!(got[i], MultiwayBatmap::intersect_count(&ops), "cand {i}");
-        }
-        // Single-operand base (pair counting in batch form).
-        let got2 = MultiwayBatmap::intersect_count_many(&base[..1], &many);
-        for (i, cand) in many.iter().enumerate() {
-            assert_eq!(
-                got2[i],
-                MultiwayBatmap::intersect_count(&[base[0], cand]),
-                "cand {i}"
-            );
-        }
-        // Empty candidate list is a no-op.
-        assert!(MultiwayBatmap::intersect_count_many(&base, &[]).is_empty());
-    }
-
-    #[test]
-    fn batched_many_agrees_across_backends() {
-        let a: Vec<u32> = (0..800).map(|i| i * 3 % 12_000).collect();
-        let b: Vec<u32> = (0..700).map(|i| i * 5 % 12_000).collect();
-        let c: Vec<u32> = (0..600).map(|i| i * 7 % 12_000).collect();
-        let expect = exact_k_way(&[&a, &b, &c]);
-        for backend in crate::kernel::available_backends() {
-            let p = Arc::new(MultiwayParams::new(12_000, 3, 0xD0F).with_kernel(backend));
-            let ma = MultiwayBatmap::build(p.clone(), &a).unwrap();
-            let mb = MultiwayBatmap::build(p.clone(), &b).unwrap();
-            let mc = MultiwayBatmap::build(p, &c).unwrap();
-            assert_eq!(
-                MultiwayBatmap::intersect_count_many(&[&ma, &mb], &[&mc]),
-                vec![expect],
-                "backend {backend}"
-            );
-        }
-    }
-
-    #[test]
     fn growth_recovers_failed_builds() {
         // d = 4 with a size just under a power-of-two boundary: the
         // single-attempt build fails for some of these seeds, and one
@@ -762,16 +555,6 @@ mod tests {
             assert_eq!(MultiwayBatmap::intersect_count(&[&grown, &ob]), expect);
         }
         assert!(saw_growth, "fixture never exercised the growth path");
-    }
-
-    #[test]
-    #[should_panic]
-    fn batched_many_rejects_overflowing_arity() {
-        let p = multi_params(1_000, 2);
-        let a = MultiwayBatmap::build(p.clone(), &[1, 2]).unwrap();
-        let b = MultiwayBatmap::build(p.clone(), &[2, 3]).unwrap();
-        let c = MultiwayBatmap::build(p, &[3, 4]).unwrap();
-        let _ = MultiwayBatmap::intersect_count_many(&[&a, &b], &[&c]);
     }
 
     #[test]

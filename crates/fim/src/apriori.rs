@@ -146,12 +146,12 @@ pub fn mine(db: &TransactionDb, minsup: u64, max_len: usize) -> Vec<Itemset> {
 /// sharing a (k−1)-prefix, then prune candidates with an infrequent
 /// k-subset. `lk` must be sorted (lexicographically, items ascending
 /// within each set); the output is sorted the same way, and candidates
-/// sharing a (k−1)-prefix are consecutive — the grouping the levelwise
-/// batmap miner's batched counting relies on.
+/// sharing a (k−1)-prefix are consecutive.
 ///
-/// Public so engines counting supports differently (e.g.
-/// `pairminer`'s multiway-batmap levelwise miner) reuse exactly this
-/// join and stay cross-checkable against [`mine`].
+/// Public as the oracle of `pairminer`'s levelwise engine: its
+/// prefix-class join is tested to produce exactly this output, item for
+/// item and in order, and the `level.fold` perf gate times the engine
+/// against this join plus [`count_candidates`].
 pub fn generate_candidates(lk: &[Vec<u32>]) -> Vec<Vec<u32>> {
     let mut out = Vec::new();
     for (a, x) in lk.iter().enumerate() {

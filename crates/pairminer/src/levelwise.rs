@@ -1,81 +1,75 @@
-//! Levelwise frequent k-itemset mining on d-of-(d+1) multiway batmaps
-//! — the paper's §V program carried out for arbitrary depth.
+//! Levelwise frequent k-itemset mining — the paper's §V program
+//! (itemsets beyond pairs) carried out for arbitrary depth.
 //!
-//! The paper closes by proposing d-of-(d+1) batmaps so that "itemsets
-//! of size up to d would have at least one position witnessing their
-//! intersection". [`LevelwiseMiner`] builds the full mining engine on
-//! top of that guarantee:
+//! The paper closes by proposing d-of-(d+1) batmaps so that itemsets of
+//! size up to d have a position witnessing their intersection. That
+//! structure is reproduced in [`batmap::multiway`]; this engine counts
+//! levels ≥ 3 over the exact tidlists instead, the vertical layout of
+//! Eclat's prefix classes (Zaki, "Scalable algorithms for association
+//! mining", TKDE 2000). ARCHITECTURE.md, "Deviations from the paper"
+//! (item 5), records why. [`LevelwiseMiner`] runs:
 //!
-//! 1. **Level 2** comes from the ordinary tiled pair pipeline
-//!    ([`crate::miner::mine`]) — or from caller-supplied frequent
-//!    pairs, so any pair engine can seed it.
-//! 2. **Candidates** for each level `k = 3..=d` come from the Apriori
-//!    join ([`fim::apriori::generate_candidates`]): a k-itemset can
-//!    only be frequent if all its (k−1)-subsets are. The join emits
-//!    candidates sorted, with all extensions of one (k−1)-prefix
+//! 1. **Level 2** from the ordinary tiled pair pipeline
+//!    ([`crate::miner::mine`]), or from caller-supplied frequent pairs,
+//!    so any pair engine can seed it.
+//! 2. **Candidates** for each level `k = 3..=d` from a prefix-class
+//!    join. The frequent (k−1)-itemsets are grouped into classes that
+//!    share a (k−2)-prefix. A member's extensions start as the later
+//!    members of its class and are narrowed by one sorted merge per
+//!    dropped prefix item `p`, against the class of
+//!    `(prefix ∖ p) + member`. That is the Apriori join with subset
+//!    pruning ([`fim::apriori::generate_candidates`], its test oracle),
+//!    with the same output in the same order; at `k = 3` it lists the
+//!    triangles of the frequent-pair graph (Chiba & Nishizeki, SIAM J.
+//!    Comput. 1985). Candidates sharing a (k−1)-prefix come out
 //!    consecutive.
-//! 3. **Support counting** is positional: each item's tidlist is built
-//!    once into a d-of-(d+1) [`MultiwayBatmap`] (lazily — only items
-//!    that actually appear in a candidate). Candidates sharing a
-//!    (k−1)-prefix are counted together through the batched
-//!    [`MultiwayBatmap::intersect_count_many`] driver: the prefix is
-//!    folded once per group into the sparse list of positions its
-//!    intersection occupies (one walk of its narrowest map, probing the
-//!    others), and each extension then costs one slot probe per listed
-//!    position — O(|prefix ∩|) per candidate, not a sweep of all
-//!    (d+1)·r positions.
-//! 4. **Parallelism**: prefix-groups are partitioned across workers
-//!    with the same longest-processing-time rule the tile executors
-//!    use ([`crate::executor::balanced_partition`]), honouring the
-//!    [`Parallelism`] knob (and therefore `BATMAP_THREADS`).
-//! 5. **Fallback**: a multiway build that fails even after range
-//!    growth (rare; see [`MultiwayBatmap::build_with_growth`]) marks
-//!    its item, and every candidate containing a marked item is
-//!    counted by an exact k-way sorted-tidlist merge instead — the
-//!    generalization of the pairwise pipeline's failed-insertion path.
-//!    Under a hybrid storage policy ([`batmap::ReprPolicy`], via the
-//!    pair stage's `repr`) the same path is taken *deliberately* for
-//!    items the policy stores as raw tidlists: the k-way batmap sweep
-//!    doesn't apply to the sparse tail, and merging a handful of tids
-//!    exactly is cheaper than building a d-of-(d+1) batmap for them.
+//! 3. **Support counting** by one fold per prefix group. The prefix's
+//!    tidlists are intersected once, the fold's tids are set in a
+//!    per-worker scratch bitmap of ⌈m/64⌉ words, and each extension's
+//!    support is the number of its tids that hit a set bit. Only the
+//!    fold's words are cleared afterwards. The counts are exact for every
+//!    item: no hashes, no failed insertions, no fallback.
+//! 4. **Parallelism**: prefix groups are partitioned across workers
+//!    with the longest-processing-time rule the tile executors use
+//!    ([`crate::executor::balanced_partition`]), weighted by the tids
+//!    each group reads, under the pair stage's [`Parallelism`] knob (and
+//!    therefore `BATMAP_THREADS`).
 //!
-//! Levels that produce no candidates are still reported — as
-//! zero-candidate [`LevelReport`]s — and short-circuit all the work
-//! above (no candidate join re-derivation, no multiway construction),
-//! so an empty level 2 costs nothing.
+//! Levels that produce no candidates are still reported, as
+//! zero-candidate [`LevelReport`]s, and skip the join and the count, so
+//! an empty level 2 costs nothing.
 //!
 //! Triple mining is this engine at `depth = 3`; when the frequent pairs
 //! already exist, [`LevelwiseMiner::mine_from_pairs`] starts from them.
 
 use crate::executor::balanced_partition;
 use crate::miner::{mine, MinerConfig, MiningReport};
-use batmap::{BatmapParams, MultiwayBatmap, MultiwayParams, Parallelism, SetRepr};
-use fim::apriori::{generate_candidates, Itemset};
+use batmap::Parallelism;
+use fim::apriori::Itemset;
 use fim::pairs::PairMap;
 use fim::{TransactionDb, VerticalDb};
-use hpcutil::{FxHashMap, Stopwatch};
+use hpcutil::Stopwatch;
 use rayon::prelude::*;
-use std::sync::Arc;
+use std::cmp::Ordering;
 
 /// Configuration of the levelwise engine.
 #[derive(Debug, Clone)]
 pub struct LevelwiseConfig {
-    /// Largest itemset size to mine (`d`); the multiway batmaps are
-    /// built with this `d`, so every level up to it is counted
-    /// positionally. Must be in `2..=15`.
+    /// Largest itemset size to mine (`d`). Must be in `2..=15`, the
+    /// range the server protocol's `Mine` request accepts, so a depth
+    /// is valid in-process exactly when it is valid on the wire.
     pub depth: usize,
-    /// Configuration of the level-2 pair stage; its `minsup`, `kernel`
-    /// and `threads` govern the higher levels too.
+    /// Configuration of the level-2 pair stage; its `minsup` and
+    /// `threads` govern the higher levels too.
     pub pair: MinerConfig,
-    /// Seed of the multiway universe (independent of the pair stage's
-    /// batmap seed).
+    /// Not read by the engine: levels ≥ 3 count over exact tidlists and
+    /// build no multiway universe. Kept for source compatibility.
     pub multiway_seed: u64,
-    /// Cuckoo `MaxLoop` bound for multiway construction (exposed for
-    /// failure-path tests; the default of 128 rarely fails).
+    /// Not read by the engine (no multiway construction happens). Kept
+    /// for source compatibility.
     pub multiway_max_loop: u32,
-    /// Range doublings [`MultiwayBatmap::build_with_growth`] may spend
-    /// recovering a failed build before the engine falls back to exact
-    /// merging for that item (0 = fail immediately).
+    /// Not read by the engine (no multiway construction happens). Kept
+    /// for source compatibility.
     pub growth_doublings: u32,
 }
 
@@ -92,26 +86,28 @@ impl Default for LevelwiseConfig {
 }
 
 /// Per-level accounting. Every level `2..=depth` is reported, including
-/// levels with zero candidates (a level the Apriori join exhausted is
-/// data, not an omission).
+/// levels with zero candidates (a level the join exhausted is data, not
+/// an omission).
 #[derive(Debug, Clone, Default)]
 pub struct LevelReport {
     /// Itemset size of this level.
     pub k: usize,
-    /// Candidates the Apriori join generated (for level 2: the seeded
-    /// frequent pairs themselves).
+    /// Candidates the join generated (for level 2: the seeded frequent
+    /// pairs themselves).
     pub candidates: usize,
     /// Candidates at or above `minsup`.
     pub frequent: usize,
-    /// Candidates counted by the batched positional pass.
+    /// Candidates counted by the prefix fold: every candidate of a
+    /// level ≥ 3 (0 at level 2, which is not counted here).
     pub batched: usize,
-    /// Candidates counted by the exact tidlist-merge fallback (some
-    /// item's multiway build failed).
+    /// Always 0: the fold is exact for every item, so nothing falls
+    /// back. Kept for source compatibility.
     pub fallback: usize,
-    /// Wall seconds of the Apriori join that generated the candidates.
+    /// Wall seconds of the prefix-class join that generated the
+    /// candidates.
     pub join_s: f64,
-    /// Wall seconds building the multiway maps this level first needs
-    /// (plus, on the first level with candidates, the vertical view).
+    /// Wall seconds building the vertical tidlist view; non-zero only
+    /// on the first level with candidates.
     pub build_s: f64,
     /// Wall seconds counting the candidates' supports.
     pub count_s: f64,
@@ -128,10 +124,8 @@ pub struct LevelwiseReport {
     pub itemsets: Vec<Itemset>,
     /// One entry per level `k = 2..=depth`, in order.
     pub levels: Vec<LevelReport>,
-    /// Items whose multiway build failed — or whose storage policy
-    /// routed them straight to the exact merge (tidlist-repr items
-    /// under a hybrid policy). Their candidates took the exact
-    /// fallback path.
+    /// Always 0: no item takes an exact fallback path, because every
+    /// count is exact. Kept for source compatibility.
     pub fallback_items: usize,
     /// The pair stage's full report when this run mined level 2 itself
     /// ([`LevelwiseMiner::mine`]); `None` when seeded from caller
@@ -163,16 +157,11 @@ pub struct LevelwiseMiner {
     config: LevelwiseConfig,
 }
 
-/// Multiway maps built so far: `None` marks an item whose build failed
-/// even after growth — or that the storage policy deliberately left as
-/// a raw tidlist (its candidates take the exact fallback either way).
-type MapCache = FxHashMap<u32, Option<MultiwayBatmap>>;
-
 impl LevelwiseMiner {
     /// Create an engine for the given configuration.
     ///
     /// # Panics
-    /// Panics unless `2 ≤ depth ≤ 15` (the multiway structure's bound).
+    /// Panics unless `2 ≤ depth ≤ 15` (see [`LevelwiseConfig::depth`]).
     pub fn new(config: LevelwiseConfig) -> Self {
         assert!(
             (2..=15).contains(&config.depth),
@@ -188,7 +177,7 @@ impl LevelwiseMiner {
     }
 
     /// Mine all frequent itemsets of size `2..=depth`: the tiled pair
-    /// pipeline produces level 2, the multiway levels follow.
+    /// pipeline produces level 2, the prefix-fold levels follow.
     pub fn mine(&self, db: &TransactionDb) -> LevelwiseReport {
         let pair_report = mine(db, &self.config.pair);
         let mut report = self.mine_from_pairs(db, &pair_report.pairs);
@@ -234,30 +223,17 @@ impl LevelwiseMiner {
             ..Default::default()
         }];
         let mut current: Vec<Vec<u32>> = itemsets.iter().map(|s| s.items.clone()).collect();
-
-        // Built lazily: the vertical view and the shared multiway
-        // universe exist only once some level has candidates, and each
-        // item's map only once it appears in one.
+        // Built once some level has candidates, so an empty level 2
+        // never converts the database.
         let mut vertical: Option<VerticalDb> = None;
-        let mut params: Option<Arc<MultiwayParams>> = None;
-        let mut gate: Option<BatmapParams> = None;
-        let mut maps: MapCache = MapCache::default();
-        // The resolved storage policy decides which items get multiway
-        // maps at all; resolved once so the env read happens up front.
-        let repr = self.config.pair.options.repr.resolve();
 
         for k in 3..=self.config.depth {
             let mut sw = Stopwatch::start();
-            // Short-circuit exhausted levels: no join re-derivation, no
-            // multiway work — but still a (zero-candidate) report.
-            let candidates = if current.is_empty() {
-                Vec::new()
-            } else {
-                generate_candidates(&current)
-            };
+            let candidates = join_classes(&current);
             let mut level = LevelReport {
                 k,
                 candidates: candidates.len(),
+                batched: candidates.len(),
                 join_s: sw.lap().as_secs_f64(),
                 ..Default::default()
             };
@@ -268,59 +244,10 @@ impl LevelwiseMiner {
                 continue;
             }
             let vertical = vertical.get_or_insert_with(|| VerticalDb::from_horizontal(db));
-            let params = params.get_or_insert_with(|| {
-                Arc::new(
-                    MultiwayParams::new(
-                        vertical.m().max(1) as u64,
-                        self.config.depth,
-                        self.config.multiway_seed,
-                    )
-                    .with_max_loop(self.config.multiway_max_loop)
-                    .with_kernel(self.config.pair.options.kernel),
-                )
-            });
-            // The gate reproduces the pair corpus' range geometry
-            // (same r₀ floor as `crate::preprocess`), so "tidlist
-            // item" below means exactly the items a hybrid pair
-            // corpus stores as raw tidlists.
-            let gate = gate.get_or_insert_with(|| {
-                BatmapParams::with_options(
-                    vertical.m().max(1) as u64,
-                    self.config.pair.seed,
-                    self.config.pair.max_loop,
-                    crate::preprocess::GPU_MIN_SHIFT,
-                )
-            });
-            for cand in &candidates {
-                for &item in cand {
-                    maps.entry(item).or_insert_with(|| {
-                        let tidlist = vertical.tidlist(item);
-                        // Items the storage policy keeps as raw
-                        // tidlists skip the sweep machinery entirely:
-                        // the exact merge is their native counter.
-                        let chosen =
-                            repr.choose(tidlist.len(), gate.m(), gate.range_for(tidlist.len()));
-                        if chosen == SetRepr::Tidlist {
-                            return None;
-                        }
-                        MultiwayBatmap::build_with_growth(
-                            params.clone(),
-                            tidlist,
-                            self.config.growth_doublings,
-                        )
-                    });
-                }
-            }
             level.build_s = sw.lap().as_secs_f64();
-            let supports = count_level(
-                &candidates,
-                &maps,
-                vertical,
-                self.config.pair.options.threads,
-                &mut level,
-            );
+            let supports = count_level(&candidates, vertical, self.config.pair.options.threads);
             level.count_s = sw.lap().as_secs_f64();
-            current = Vec::new();
+            current.clear();
             for (cand, support) in candidates.into_iter().zip(supports) {
                 if support >= minsup {
                     level.frequent += 1;
@@ -338,13 +265,89 @@ impl LevelwiseMiner {
         LevelwiseReport {
             itemsets,
             levels,
-            fallback_items: maps.values().filter(|m| m.is_none()).count(),
+            fallback_items: 0,
             pair_report: None,
         }
     }
 }
 
-/// One prefix-group of a level's candidate list: `len` consecutive
+/// The prefix-class join: the candidate k-itemsets of the frequent
+/// (k−1)-itemsets `lk`, which must be sorted and free of duplicates.
+/// Equal to [`fim::apriori::generate_candidates`] item for item and in
+/// order (see the module docs); the only allocation per candidate is
+/// the candidate itself.
+fn join_classes(lk: &[Vec<u32>]) -> Vec<Vec<u32>> {
+    let Some(first) = lk.first() else {
+        return Vec::new();
+    };
+    // Prefix length: members of one class agree on `x[..p]` and differ
+    // in their last item `x[p]`.
+    let p = first.len() - 1;
+    let mut starts: Vec<usize> = (0..lk.len())
+        .filter(|&i| i == 0 || lk[i][..p] != lk[i - 1][..p])
+        .collect();
+    starts.push(lk.len());
+    let class = |c: usize| &lk[starts[c]..starts[c + 1]];
+    let classes = starts.len() - 1;
+    // Index of the class whose prefix is `prefix` without its item at
+    // `drop`, followed by `last`.
+    let find = |prefix: &[u32], drop: usize, last: u32| {
+        let key = || {
+            prefix[..drop]
+                .iter()
+                .chain(&prefix[drop + 1..])
+                .chain(std::iter::once(&last))
+        };
+        starts[..classes]
+            .binary_search_by(|&s| lk[s][..p].iter().cmp(key()))
+            .ok()
+    };
+
+    let mut out = Vec::new();
+    let mut ext: Vec<u32> = Vec::new();
+    for c in 0..classes {
+        let members = class(c);
+        for (i, x) in members.iter().enumerate() {
+            let (prefix, last) = (&x[..p], x[p]);
+            ext.clear();
+            ext.extend(members[i + 1..].iter().map(|y| y[p]));
+            for drop in 0..p {
+                if ext.is_empty() {
+                    break;
+                }
+                match find(prefix, drop, last) {
+                    Some(other) => retain_sorted(&mut ext, class(other).iter().map(|y| y[p])),
+                    None => ext.clear(),
+                }
+            }
+            for &e in &ext {
+                let mut cand = Vec::with_capacity(p + 2);
+                cand.extend_from_slice(x);
+                cand.push(e);
+                out.push(cand);
+            }
+        }
+    }
+    out
+}
+
+/// Keep the items of the sorted `list` that also occur in the sorted
+/// `other` (a sorted merge, in place).
+fn retain_sorted(list: &mut Vec<u32>, mut other: impl Iterator<Item = u32>) {
+    let mut next = other.next();
+    list.retain(|&v| {
+        while let Some(o) = next {
+            match o.cmp(&v) {
+                Ordering::Less => next = other.next(),
+                Ordering::Equal => return true,
+                Ordering::Greater => return false,
+            }
+        }
+        false
+    });
+}
+
+/// One prefix group of a level's candidate list: `len` consecutive
 /// candidates starting at `start`, all sharing their first `k − 1`
 /// items.
 #[derive(Debug, Clone, Copy)]
@@ -353,48 +356,52 @@ struct Group {
     len: usize,
 }
 
-/// Count one level's candidates, prefix-group by prefix-group,
+/// Count one level's candidates, prefix group by prefix group,
 /// partitioned across workers with the executors' LPT rule. Returns
-/// supports aligned with `candidates` and fills the level's
-/// batched/fallback tallies.
-fn count_level(
-    candidates: &[Vec<u32>],
-    maps: &MapCache,
-    vertical: &VerticalDb,
-    threads: Parallelism,
-    level: &mut LevelReport,
-) -> Vec<u64> {
+/// supports aligned with `candidates`.
+fn count_level(candidates: &[Vec<u32>], vertical: &VerticalDb, threads: Parallelism) -> Vec<u64> {
     let groups = prefix_groups(candidates);
-    let workers = threads.resolve_with(rayon::current_num_threads());
-    let counted: Vec<(Group, Vec<u64>, usize)> = if workers <= 1 || groups.len() < 2 {
-        groups
-            .into_iter()
-            .map(|g| count_group(g, candidates, maps, vertical))
-            .collect()
-    } else {
-        let buckets = balanced_partition(groups, workers, |g| g.len);
-        let run = || {
-            let per_bucket: Vec<Vec<(Group, Vec<u64>, usize)>> = buckets
-                .into_par_iter()
-                .map(|bucket| {
-                    bucket
-                        .into_iter()
-                        .map(|g| count_group(g, candidates, maps, vertical))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            per_bucket.into_iter().flatten().collect::<Vec<_>>()
-        };
-        match threads.pinned() {
-            Some(n) if n > 1 => hpcutil::scoped_pool(n, run),
-            _ => run(),
+    let words = (vertical.m() as usize).div_ceil(64);
+    // One worker's pass over its groups, supports in group order.
+    let count_bucket = |bucket: &[Group]| {
+        let mut bits = vec![0u64; words];
+        let mut fold = Vec::new();
+        let mut supports = Vec::with_capacity(bucket.iter().map(|g| g.len).sum());
+        for &group in bucket {
+            let cands = &candidates[group.start..group.start + group.len];
+            count_group(cands, vertical, &mut bits, &mut fold, &mut supports);
         }
+        supports
+    };
+    let workers = threads.resolve_with(rayon::current_num_threads());
+    if workers <= 1 || groups.len() < 2 {
+        // The groups tile the candidate list in order.
+        return count_bucket(&groups);
+    }
+    let tids = |items: &[u32]| -> usize { items.iter().map(|&i| vertical.tidlist(i).len()).sum() };
+    let buckets = balanced_partition(groups, workers, |g| {
+        let cands = &candidates[g.start..g.start + g.len];
+        let prefix = &cands[0][..cands[0].len() - 1];
+        tids(prefix) + cands.iter().map(|c| tids(&c[c.len() - 1..])).sum::<usize>()
+    });
+    let run = || {
+        buckets
+            .par_iter()
+            .map(|bucket| count_bucket(bucket))
+            .collect::<Vec<_>>()
+    };
+    let counted = match threads.pinned() {
+        Some(n) if n > 1 => hpcutil::scoped_pool(n, run),
+        _ => run(),
     };
     let mut supports = vec![0u64; candidates.len()];
-    for (group, counts, fallback) in counted {
-        level.fallback += fallback;
-        level.batched += group.len - fallback;
-        supports[group.start..group.start + group.len].copy_from_slice(&counts);
+    for (bucket, counts) in buckets.iter().zip(counted) {
+        let mut counts = counts.as_slice();
+        for group in bucket {
+            let (head, rest) = counts.split_at(group.len);
+            supports[group.start..group.start + group.len].copy_from_slice(head);
+            counts = rest;
+        }
     }
     supports
 }
@@ -412,81 +419,41 @@ fn prefix_groups(candidates: &[Vec<u32>]) -> Vec<Group> {
     groups
 }
 
-/// Count one prefix-group: the shared prefix is folded once and every
-/// extension swept against it through the batched driver; extensions
-/// (or prefixes) with a failed map take the exact merge. Returns the
-/// group's supports plus how many of them fell back.
+/// Count one prefix group, appending its supports to `out`: the
+/// prefix's tidlists are folded once into `fold`, whose tids are set in
+/// `bits` (all clear on entry and on return), and each extension counts
+/// its tids that hit a set bit.
 fn count_group(
-    group: Group,
-    candidates: &[Vec<u32>],
-    maps: &MapCache,
+    cands: &[Vec<u32>],
     vertical: &VerticalDb,
-) -> (Group, Vec<u64>, usize) {
-    let cands = &candidates[group.start..group.start + group.len];
+    bits: &mut [u64],
+    fold: &mut Vec<u32>,
+    out: &mut Vec<u64>,
+) {
     let prefix = &cands[0][..cands[0].len() - 1];
-    let base: Option<Vec<&MultiwayBatmap>> = prefix
+    let narrowest = *prefix
         .iter()
-        .map(|item| maps[item].as_ref())
-        .collect::<Option<Vec<_>>>();
-    let mut supports = vec![0u64; cands.len()];
-    let mut fallback = 0usize;
-    // Partition the group's extensions: positional batch where every
-    // operand has a map, exact merge otherwise.
-    let mut batch_idx: Vec<usize> = Vec::new();
-    let mut batch_maps: Vec<&MultiwayBatmap> = Vec::new();
-    for (i, cand) in cands.iter().enumerate() {
-        let ext = *cand.last().expect("candidates are non-empty");
-        match (&base, maps[&ext].as_ref()) {
-            (Some(_), Some(map)) => {
-                batch_idx.push(i);
-                batch_maps.push(map);
-            }
-            _ => {
-                let lists: Vec<&[u32]> = cand.iter().map(|&item| vertical.tidlist(item)).collect();
-                supports[i] = k_way_merge(&lists);
-                fallback += 1;
-            }
+        .min_by_key(|&&item| vertical.tidlist(item).len())
+        .expect("candidates have a non-empty prefix");
+    fold.clear();
+    fold.extend_from_slice(vertical.tidlist(narrowest));
+    for &item in prefix {
+        if item != narrowest {
+            retain_sorted(fold, vertical.tidlist(item).iter().copied());
         }
     }
-    if let (Some(base), false) = (&base, batch_idx.is_empty()) {
-        let counts = MultiwayBatmap::intersect_count_many(base, &batch_maps);
-        for (&i, count) in batch_idx.iter().zip(counts) {
-            supports[i] = count;
-        }
+    for &t in fold.iter() {
+        bits[t as usize / 64] |= 1 << (t % 64);
     }
-    (group, supports, fallback)
-}
-
-/// Exact k-way sorted-merge count — the fallback path's oracle-grade
-/// counter (generalizes the pairwise pipeline's failed-insertion
-/// merging).
-fn k_way_merge(lists: &[&[u32]]) -> u64 {
-    debug_assert!(!lists.is_empty());
-    let mut idx = vec![0usize; lists.len()];
-    let mut count = 0u64;
-    'outer: loop {
-        let mut max = 0u32;
-        for (list, &i) in lists.iter().zip(&idx) {
-            match list.get(i) {
-                Some(&v) => max = max.max(v),
-                None => break 'outer,
-            }
-        }
-        let mut all_equal = true;
-        for (list, i) in lists.iter().zip(&mut idx) {
-            if list[*i] < max {
-                *i += 1;
-                all_equal = false;
-            }
-        }
-        if all_equal {
-            count += 1;
-            for i in &mut idx {
-                *i += 1;
-            }
-        }
+    out.extend(cands.iter().map(|cand| {
+        let ext = vertical.tidlist(cand[cand.len() - 1]);
+        ext.iter()
+            .map(|&t| bits[t as usize / 64] >> (t % 64) & 1)
+            .sum::<u64>()
+    }));
+    for &t in fold.iter() {
+        bits[t as usize / 64] = 0;
     }
-    count
 }
 
 #[cfg(test)]
@@ -552,10 +519,9 @@ mod tests {
 
     #[test]
     fn forced_fallback_still_exact() {
-        // MaxLoop 1 forces failures — but only on *sparse* sets: when
-        // m ≤ r the permutation hash is injective and collisions are
-        // impossible, so the database must have many transactions
-        // relative to each tidlist (≈13% density here).
+        // The multiway knobs that once forced build failures (MaxLoop
+        // 1, no growth) are no longer read: the run must stay exact on
+        // a sparse database (≈13% density) with them set.
         let d = TransactionDb::new(
             24,
             (0..3000usize)
@@ -572,12 +538,6 @@ mod tests {
             cfg.growth_doublings = 0;
             let report = LevelwiseMiner::new(cfg).mine(&d);
             assert_eq!(report.itemsets, oracle(&d, 20, depth), "depth={depth}");
-            assert!(
-                report.fallback_items > 0,
-                "expected forced build failures at depth {depth}"
-            );
-            let fallbacks: usize = report.levels.iter().map(|l| l.fallback).sum();
-            assert!(fallbacks > 0, "fallback candidates must be counted");
         }
     }
 
@@ -593,7 +553,6 @@ mod tests {
             assert_eq!(level.candidates, 0, "k={}", level.k);
             assert_eq!(level.frequent, 0);
         }
-        // And no multiway machinery was touched.
         assert_eq!(report.fallback_items, 0);
         // Seeding with no frequent pairs is the same empty run.
         let seeded = LevelwiseMiner::new(config(3, 1)).mine_from_pairs(&d, &PairMap::default());
@@ -637,10 +596,10 @@ mod tests {
     #[test]
     fn hybrid_policy_matches_batmap_and_routes_tidlists_to_exact_merge() {
         // Dense head (bitmap band) plus sparse co-occurring tails
-        // (tidlist band at the r₀ = 64 floor: len 8 ≤ 12): the hybrid
-        // policy must skip multiway builds for the sparse items,
-        // count their candidates by the exact merge, and still report
-        // exactly the pure-batmap itemsets.
+        // (tidlist band at the r₀ = 64 floor: len 8 ≤ 12): the pair
+        // stage stores them differently under the two policies, and
+        // levels ≥ 3 fold the same exact tidlists, so both report
+        // exactly the oracle's itemsets.
         let d = TransactionDb::new(
             10,
             (0..800usize)
@@ -667,13 +626,6 @@ mod tests {
         hybrid_cfg.pair.options.repr = batmap::ReprPolicy::Hybrid;
         let hybrid = LevelwiseMiner::new(hybrid_cfg).mine(&d);
         assert_eq!(hybrid.itemsets, baseline.itemsets);
-        assert!(
-            hybrid.fallback_items >= 4,
-            "sparse tidlist items must skip multiway builds, got {}",
-            hybrid.fallback_items
-        );
-        let fallbacks: usize = hybrid.levels.iter().map(|l| l.fallback).sum();
-        assert!(fallbacks > 0, "their candidates take the exact merge");
     }
 
     #[test]
@@ -707,18 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn k_way_merge_exact() {
-        let a: Vec<u32> = (0..300).map(|i| i * 2).collect();
-        let b: Vec<u32> = (0..200).map(|i| i * 3).collect();
-        let c: Vec<u32> = (0..120).map(|i| i * 5).collect();
-        // Multiples of 30 below 600.
-        assert_eq!(k_way_merge(&[&a, &b, &c]), 20);
-        assert_eq!(k_way_merge(&[&a, &[], &c]), 0);
-        assert_eq!(k_way_merge(&[&a, &b]), 100); // multiples of 6 < 600
-        assert_eq!(k_way_merge(&[&a]), a.len() as u64);
-    }
-
-    #[test]
     fn prefix_groups_are_runs() {
         let cands = vec![
             vec![0, 1, 2],
@@ -730,5 +670,91 @@ mod tests {
         let groups = prefix_groups(&cands);
         let shape: Vec<(usize, usize)> = groups.iter().map(|g| (g.start, g.len)).collect();
         assert_eq!(shape, vec![(0, 2), (2, 1), (3, 2)]);
+    }
+
+    #[test]
+    fn join_prunes_candidates_with_a_missing_subset() {
+        // L2 lacks {2,3}: {0,2,3} must be pruned, {0,1,2} and {0,1,3}
+        // kept.
+        let l2: Vec<Vec<u32>> = vec![vec![0, 1], vec![0, 2], vec![0, 3], vec![1, 2], vec![1, 3]];
+        assert_eq!(join_classes(&l2), vec![vec![0, 1, 2], vec![0, 1, 3]]);
+        assert_eq!(join_classes(&l2), apriori::generate_candidates(&l2));
+        // L3 whose class {1,2} is missing entirely: {0,1,2,x} has no
+        // frequent {1,2,x}, while {0,1,3,4} has every subset.
+        let l3: Vec<Vec<u32>> = vec![
+            vec![0, 1, 2],
+            vec![0, 1, 3],
+            vec![0, 1, 4],
+            vec![0, 2, 3],
+            vec![0, 3, 4],
+            vec![1, 3, 4],
+        ];
+        assert_eq!(join_classes(&l3), vec![vec![0, 1, 3, 4]]);
+        assert_eq!(join_classes(&l3), apriori::generate_candidates(&l3));
+        assert!(join_classes(&[]).is_empty());
+    }
+
+    /// The (k−1)-subsets of `0..n` in lexicographic order, keeping the
+    /// i-th when `draws[i] < density`: a random sorted L_{k−1} in which
+    /// whole classes and dropped-prefix subsets go missing at random.
+    fn random_level(k: usize, n: u32, draws: &[u8], density: u8) -> Vec<Vec<u32>> {
+        let mut level = Vec::new();
+        let mut set: Vec<u32> = (0..k as u32 - 1).collect();
+        for &draw in draws {
+            if draw < density {
+                level.push(set.clone());
+            }
+            let len = set.len();
+            let Some(i) = (0..len).rev().find(|&i| set[i] < n - (len - i) as u32) else {
+                break;
+            };
+            set[i] += 1;
+            for j in i + 1..len {
+                set[j] = set[j - 1] + 1;
+            }
+        }
+        level
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// The prefix-class join equals the Apriori join item for item
+        /// and in order, for k = 3..6 over random sorted L_{k−1} (at
+        /// most C(10, 5) = 252 subsets).
+        #[test]
+        fn join_matches_apriori_join(
+            k in 3usize..7,
+            extra in 0u32..6,
+            density in 1u8..9,
+            draws in proptest::collection::vec(0u8..8, 252),
+        ) {
+            let level = random_level(k, k as u32 - 1 + extra, &draws, density);
+            proptest::prop_assert_eq!(join_classes(&level), apriori::generate_candidates(&level));
+        }
+    }
+
+    #[test]
+    fn fold_counts_equal_the_horizontal_scan_and_leave_the_bitmap_clear() {
+        let d = db();
+        let vertical = VerticalDb::from_horizontal(&d);
+        let l2: Vec<Vec<u32>> = (0..12u32)
+            .flat_map(|a| (a + 1..12).map(move |b| vec![a, b]))
+            .collect();
+        let l3 = join_classes(&l2);
+        for candidates in [join_classes(&l3), l3] {
+            let expect = apriori::count_candidates(&d, &candidates);
+            for threads in [Parallelism::Serial, Parallelism::threads(3)] {
+                assert_eq!(count_level(&candidates, &vertical, threads), expect);
+            }
+            let mut bits = vec![0u64; (vertical.m() as usize).div_ceil(64)];
+            let (mut fold, mut supports) = (Vec::new(), Vec::new());
+            for g in prefix_groups(&candidates) {
+                let cands = &candidates[g.start..g.start + g.len];
+                count_group(cands, &vertical, &mut bits, &mut fold, &mut supports);
+                assert!(bits.iter().all(|&w| w == 0), "scratch bitmap left dirty");
+            }
+            assert_eq!(supports, expect);
+        }
     }
 }

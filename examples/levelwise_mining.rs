@@ -1,10 +1,10 @@
-//! Mining frequent k-itemsets beyond pairs — the §V d-of-(d+1)
-//! program as a full levelwise engine.
+//! Mining frequent k-itemsets beyond pairs — the paper's §V program as
+//! a full levelwise engine.
 //!
 //! Generates a random transaction database, mines all frequent
 //! itemsets up to size 4 with the `LevelwiseMiner` (level 2 from the
-//! tiled pair pipeline, levels 3..4 by batched positional counting on
-//! 4-of-5 multiway batmaps), prints the per-level accounting, and
+//! tiled pair pipeline, levels 3..4 by a prefix-class join and one
+//! tidlist fold per prefix group), prints the per-level accounting, and
 //! cross-checks the result against the Apriori oracle.
 //!
 //! Run with: `cargo run --release --example levelwise_mining`
@@ -39,26 +39,20 @@ fn main() {
     });
     let report = miner.mine(&db);
 
-    println!("level  candidates  frequent  batched  fallback   join_s  build_s  count_s   wall_s");
+    println!("level  candidates  frequent   join_s  build_s  count_s   wall_s");
     for level in &report.levels {
         println!(
-            "{:>5}  {:>10}  {:>8}  {:>7}  {:>8}  {:>7.4}  {:>7.4}  {:>7.4}  {:>7.4}",
+            "{:>5}  {:>10}  {:>8}  {:>7.4}  {:>7.4}  {:>7.4}  {:>7.4}",
             level.k,
             level.candidates,
             level.frequent,
-            level.batched,
-            level.fallback,
             level.join_s,
             level.build_s,
             level.count_s,
             level.wall_s
         );
     }
-    println!(
-        "\n{} frequent itemsets total, {} item(s) on the exact-fallback path",
-        report.itemsets.len(),
-        report.fallback_items
-    );
+    println!("\n{} frequent itemsets total", report.itemsets.len());
     if let Some(largest) = report
         .itemsets
         .iter()

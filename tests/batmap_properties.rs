@@ -241,57 +241,6 @@ proptest! {
         prop_assert_eq!(batmap::MultiwayBatmap::intersect_count(&[&ma, &mb]), expect2);
     }
 
-    /// The batched sparse-profile pass (`intersect_count_many`) counts
-    /// exactly what the dense positional sweep (`intersect_count`)
-    /// counts: d ∈ {3, 4}, every base size 1..d−1, candidates wider and
-    /// narrower than every base operand (range-grown maps among them),
-    /// the empty set, and self-intersections in base and candidate.
-    #[test]
-    fn batched_many_matches_dense_sweep(
-        sets in proptest::collection::vec(btree_set(0u32..5_000, 20..300), 3),
-        d in 3usize..5,
-        seed in 0u64..200
-    ) {
-        use batmap::{MultiwayBatmap, MultiwayParams};
-        use std::collections::BTreeSet;
-        let params = Arc::new(MultiwayParams::new(5_000, d, seed));
-        // Same universe (MaxLoop is not part of the fingerprint), but a
-        // one-round cuckoo bound: builds fail at the sized range and
-        // recover by doubling, so these maps come out wider.
-        let tight = Arc::new(MultiwayParams::new(5_000, d, seed).with_max_loop(1));
-        let build = |p: &Arc<MultiwayParams>, s: &BTreeSet<u32>| {
-            let v: Vec<u32> = s.iter().copied().collect();
-            MultiwayBatmap::build_with_growth(p.clone(), &v, 4)
-        };
-        let base_maps: Vec<_> = sets.iter().map(|s| build(&params, s)).collect();
-        prop_assume!(base_maps.iter().all(Option::is_some));
-        let base_maps: Vec<MultiwayBatmap> = base_maps.into_iter().flatten().collect();
-        let narrow = build(&params, &BTreeSet::from([7])).unwrap();
-        let wide = build(&params, &(0..1_200).map(|i| i * 4).collect()).unwrap();
-        let empty = build(&params, &BTreeSet::new()).unwrap();
-        let grown: Vec<MultiwayBatmap> = sets.iter().filter_map(|s| build(&tight, s)).collect();
-        for b in &base_maps {
-            prop_assert!(narrow.range() < b.range() && b.range() < wide.range());
-        }
-        let many: Vec<&MultiwayBatmap> = base_maps
-            .iter()
-            .chain(&grown)
-            .chain([&narrow, &wide, &empty])
-            .collect();
-        for base_len in 1..d {
-            let distinct: Vec<&MultiwayBatmap> = base_maps.iter().take(base_len).collect();
-            let repeated = vec![&base_maps[0]; base_len];
-            for base in [distinct, repeated] {
-                let got = MultiwayBatmap::intersect_count_many(&base, &many);
-                for (cand, &count) in many.iter().zip(&got) {
-                    let mut ops = base.clone();
-                    ops.push(cand);
-                    prop_assert_eq!(count, MultiwayBatmap::intersect_count(&ops), "d={} base={}", d, base_len);
-                }
-            }
-        }
-    }
-
     /// Probe counting agrees with exact intersection for any k.
     #[test]
     fn probe_counting_exact(

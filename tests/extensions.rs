@@ -1,5 +1,5 @@
-//! Integration tests of the extension features: the §V multiway
-//! structures end to end (triple mining), live point queries against
+//! Integration tests of the extension features: §V itemsets beyond
+//! pairs end to end (triple mining), live point queries against
 //! the pipeline, the command queue, and WAH interop with the other
 //! formats.
 

@@ -74,9 +74,9 @@ proptest! {
         }
     }
 
-    /// The hybrid levelwise engine (tidlist items routed to the exact
-    /// merge) reports the same frequent itemsets as the pure-batmap
-    /// engine at every depth and threshold.
+    /// The levelwise engine over a hybrid pair corpus reports the same
+    /// frequent itemsets as over a pure-batmap one, at every depth and
+    /// threshold.
     #[test]
     fn hybrid_levelwise_matches_batmap(
         db in arb_db(),

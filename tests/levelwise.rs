@@ -1,6 +1,7 @@
 //! Property-based tests of the levelwise k-itemset engine: random
 //! databases, every depth up to 5, two independent oracles (levelwise
-//! Apriori and FP-Growth), and the forced-fallback failure path.
+//! Apriori and FP-Growth), and the retired multiway knobs set to their
+//! old failure-forcing values.
 
 use fim::apriori::{self, Itemset};
 use fim::{fpgrowth, TransactionDb};
@@ -37,7 +38,7 @@ fn canonical(mut sets: Vec<Itemset>) -> Vec<Itemset> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The levelwise batmap engine equals the Apriori oracle for every
+    /// The levelwise engine equals the Apriori oracle for every
     /// depth up to 5 and arbitrary minsup.
     #[test]
     fn levelwise_matches_apriori_oracle(
@@ -63,8 +64,9 @@ proptest! {
         prop_assert_eq!(report.itemsets, expect);
     }
 
-    /// The forced-fallback path (multiway builds failing at MaxLoop 1
-    /// with no range growth) is exact too, at every depth.
+    /// The multiway knobs that once forced the exact fallback (MaxLoop
+    /// 1, no range growth) are not read: the run stays exact at every
+    /// depth with them set.
     #[test]
     fn forced_fallback_is_exact(db in arb_db(), minsup in 1u64..4, depth in 3usize..6) {
         let mut config = levelwise_config(depth, minsup);
@@ -124,6 +126,7 @@ proptest! {
             );
             if level.k > 2 {
                 prop_assert_eq!(level.batched + level.fallback, level.candidates);
+                prop_assert_eq!(level.fallback, 0);
             }
         }
     }
