@@ -36,11 +36,12 @@ use bench::gate::{evaluate, Verdict};
 use datagen::uniform::{generate, UniformSpec};
 use datagen::webdocs::{self, WebDocsSpec};
 use fim::apriori::{count_candidates, generate_candidates};
+use fim::pairs::PairMap;
 use fim::VerticalDb;
 use hpcutil::Table;
 use pairminer::{
-    mine, preprocess_with, Engine, LevelwiseConfig, LevelwiseMiner, MinerConfig,
-    ParallelCpuExecutor, Preprocessed, Tile, TileConsumer, TileExecutor, TilePlan,
+    build_pair_map, mine, preprocess_with, Engine, LevelwiseConfig, LevelwiseMiner, MinerConfig,
+    PairEntry, ParallelCpuExecutor, Preprocessed, Tile, TileConsumer, TileExecutor, TilePlan,
 };
 use rayon::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -175,8 +176,8 @@ struct Width {
 }
 
 /// The ladder's two widths, 65 sets a row. `cache`: 24 KiB sets, a
-/// 1.6 MiB row resident in a 2 MiB L2. `spill`: 384 KiB sets, a 25 MiB
-/// row that spills L2 on every sweep.
+/// 1.6 MiB row resident in a 2 MiB L2. `spill`: 192 KiB sets, a
+/// 12.5 MiB row that still spills L2 on every sweep.
 const WIDTHS: [Width; 2] = [
     Width {
         label: "cache",
@@ -334,6 +335,79 @@ fn parallel_gate(args: &Args, gates: &mut Gates) {
             )
         });
     }
+}
+
+/// Partitioned vs plain result-map build: `build_pair_map` against
+/// `with_capacity` + `extend`, over the same pair lists, one per worker
+/// of the ambient pool. The pairs are every co-occurring pair of a
+/// uniform instance at 2% density (`minsup` 1), in key order as the
+/// workers' row-major harvest emits them, so consecutive inserts land
+/// in unrelated buckets. Both maps must be equal. Each round builds
+/// from fresh copies of the lists, made outside the timed region.
+/// Bound 1.75× from twelve `--quick` runs: median 2.01×, quartiles
+/// 1.96–2.08×, lowest 1.85×.
+fn harvest_gate(args: &Args, gates: &mut Gates) {
+    let (n_items, total_items) = if args.quick {
+        (2_048, 100_000)
+    } else {
+        (4_000, 1_000_000)
+    };
+    let db = generate(&UniformSpec {
+        n_items,
+        density: 0.02,
+        total_items,
+        seed: args.seed,
+    });
+    let config = MinerConfig {
+        k: 256,
+        engine: Engine::Cpu,
+        ..Default::default()
+    };
+    let mut pairs: Vec<PairEntry> = mine(&db, &config).pairs.into_iter().collect();
+    pairs.sort_unstable();
+    let workers = rayon::current_num_threads().max(1);
+    let lists: Vec<Vec<PairEntry>> = pairs
+        .chunks(pairs.len().div_ceil(workers).max(1))
+        .map(<[PairEntry]>::to_vec)
+        .collect();
+    let plain = |lists: Vec<Vec<PairEntry>>| {
+        let mut map = PairMap::with_capacity_and_hasher(pairs.len(), Default::default());
+        for list in lists {
+            map.extend(list);
+        }
+        map
+    };
+    assert_eq!(
+        build_pair_map(lists.clone(), Parallelism::Auto),
+        plain(lists.clone()),
+        "the partitioned and the plain build must give equal maps"
+    );
+    println!(
+        "harvest.build: {} pairs in {} lists",
+        pairs.len(),
+        lists.len()
+    );
+    gates.judge("harvest.build", 1.75, || {
+        let time = |build: &dyn Fn(Vec<Vec<PairEntry>>) -> PairMap| {
+            let lists = lists.clone();
+            let t0 = Instant::now();
+            std::hint::black_box(build(lists));
+            t0.elapsed().as_secs_f64()
+        };
+        let partitioned = |lists| build_pair_map(lists, Parallelism::Auto);
+        (0..rounds(args))
+            .map(|round| {
+                let (replaced, kept) = if round % 2 == 0 {
+                    let replaced = time(&plain);
+                    (replaced, time(&partitioned))
+                } else {
+                    let kept = time(&partitioned);
+                    (time(&plain), kept)
+                };
+                replaced / kept
+            })
+            .collect()
+    });
 }
 
 /// Discards tile counts: the plan gate times the sweep alone.
@@ -935,6 +1009,7 @@ fn main() {
     let mut gates = Gates::default();
     kernel_gates(&args, &mut gates);
     parallel_gate(&args, &mut gates);
+    harvest_gate(&args, &mut gates);
     plan_gate(&args, &mut gates);
     hybrid_gate(&args, &mut gates);
     level_fold_gate(&args, &mut gates);

@@ -165,7 +165,8 @@ pub fn paper_instance(cfg: &HarnessConfig, n_items: u32, density: f64) -> Transa
 /// plus `candidates` same-support candidates (same support → same
 /// width → the batched driver's blocked equal-width path, the mining
 /// pipeline's common case — preprocessing sorts batmaps by width). The
-/// width is `3·2·2^⌈log₂ set⌉` bytes: 24 KiB at [`ONE_VS_MANY_SET`].
+/// width is `3·2^⌈log₂ ⌈3·set/2⌉⌉` bytes (`BatmapParams::range_for`):
+/// 24 KiB at [`ONE_VS_MANY_SET`].
 /// One definition so the criterion trajectory and the gates measure
 /// the same rows.
 pub fn one_vs_many_fixture(

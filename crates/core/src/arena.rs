@@ -1232,10 +1232,13 @@ impl ArenaBuilder {
     /// is the forced-representation path the hybrid tests use to
     /// assemble arbitrary mixed corpora.
     ///
+    /// A [`SetRepr::Batmap`] set is built at `range_for(|S|)` and, if
+    /// the cuckoo build fails to place an element, rebuilt at doubled
+    /// ranges until every element is placed (as a growth rebuild does),
+    /// so the pushed set is always complete.
+    ///
     /// # Panics
-    /// Panics if an element is outside the universe, or if `repr` is
-    /// [`SetRepr::Batmap`] and the cuckoo build does not place every
-    /// element (raise `max_loop` or the seed in that unlikely case).
+    /// Panics if an element is outside the universe.
     pub fn push_elements(&mut self, elements: &[u32], repr: SetRepr) -> usize {
         let mut sorted = elements.to_vec();
         sorted.sort_unstable();
@@ -1248,13 +1251,12 @@ impl ArenaBuilder {
             );
         }
         if repr == SetRepr::Batmap {
-            let outcome = Batmap::build_sorted(self.params.clone(), &sorted);
-            assert!(
-                outcome.failed.is_empty(),
-                "batmap build failed to place {} elements",
-                outcome.failed.len()
-            );
-            return self.push(&outcome.batmap);
+            let range = self.params.range_for(sorted.len());
+            return self.push(&Batmap::build_placing_all(
+                self.params.clone(),
+                &sorted,
+                range,
+            ));
         }
         let offset = self.bytes.len().next_multiple_of(SET_ALIGN);
         self.bytes.resize(offset, EMPTY_SLOT);

@@ -115,7 +115,7 @@ impl Batmap {
     ///
     /// Returns the full [`BuildOutcome`] so callers can observe failed
     /// insertions (§III-C); use `.batmap` when failures don't matter
-    /// (they are absent at the paper's load factors).
+    /// (they are rare at `range_for`'s load ≤ 4/9).
     pub fn build(params: ParamsHandle, elements: &[u32]) -> BuildOutcome {
         builder::build(params, elements)
     }
@@ -396,9 +396,18 @@ mod tests {
 
     #[test]
     fn self_intersection_is_cardinality() {
+        // Built at the paper's §III-A width (load ≤ 1/3, a size hint of
+        // 2^⌈log₂ n⌉ under `range_for`), where no element fails.
         let p = params(30_000);
         let elements: Vec<u32> = (0..1234).map(|i| i * 11 % 30_000).collect();
-        let bm = Batmap::build(p, &elements).batmap;
+        let mut builder =
+            crate::BatmapBuilder::with_capacity(p, elements.len().next_power_of_two());
+        for &x in &elements {
+            builder.insert(x);
+        }
+        let out = builder.finish();
+        assert!(out.failed.is_empty());
+        let bm = out.batmap;
         assert_eq!(bm.intersect_count(&bm), set(&elements).len() as u64);
     }
 
@@ -411,12 +420,13 @@ mod tests {
 
     #[test]
     fn width_matches_paper_formula() {
-        // §IV-A: sets of 2500 elements in a 50k universe occupy
-        // 3·2^13 bytes.
+        // Sets of 2500 elements in a 50k universe occupy 3·2^⌈log₂ 3750⌉
+        // = 3·2^12 bytes. Deviation 7 (ARCHITECTURE.md): the paper's
+        // §IV-A sizing gives them 3·2^13 bytes.
         let p = params(50_000);
         let elements: Vec<u32> = (0..2500).collect();
         let bm = Batmap::build(p, &elements).batmap;
-        assert_eq!(bm.width_bytes(), 3 * (1 << 13));
+        assert_eq!(bm.width_bytes(), 3 * (1 << 12));
     }
 
     #[test]

@@ -367,6 +367,17 @@ mod tests {
         assert_eq!(b.len(), 1);
     }
 
+    /// Build `elements` at the paper's §III-A width
+    /// `r = 2·2^⌈log₂ n⌉`: under `range_for`'s narrower rule a size
+    /// hint of `2^⌈log₂ n⌉` yields exactly that range.
+    fn build_at_paper_width(p: ParamsHandle, elements: &[u32]) -> BuildOutcome {
+        let mut b = BatmapBuilder::with_capacity(p, elements.len().next_power_of_two());
+        for &x in elements {
+            b.insert(x);
+        }
+        b.finish()
+    }
+
     #[test]
     fn build_random_sets_no_failures_at_paper_load() {
         // r = 2·2^⌈log n⌉ gives load ≤ 1/3; failures should be absent
@@ -377,10 +388,53 @@ mod tests {
             let mut sorted = elements.clone();
             sorted.sort_unstable();
             sorted.dedup();
-            let out = build(p.clone(), &elements);
+            let out = build_at_paper_width(p.clone(), &elements);
+            let paper_range = (2 * size.max(1).next_power_of_two() as u64).max(p.r0());
+            assert_eq!(out.batmap.range(), paper_range, "size={size}");
             assert!(out.failed.is_empty(), "size={size}: {:?}", out.failed);
             assert_eq!(out.batmap.len(), sorted.len(), "size={size}");
         }
+    }
+
+    #[test]
+    fn stored_plus_failed_is_the_set_at_the_highest_load() {
+        // `range_for` keeps the load 2n/3r ≤ 4/9, reached at n = ⌊2r/3⌋.
+        // Failures may occur there; every element must still be either
+        // stored or reported failed, never both and never neither.
+        let p = params(100_000);
+        let (mut failures, mut total) = (0, 0);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for r in [1u64 << 10, 1 << 12, 1 << 14] {
+            let n = (2 * r / 3) as usize;
+            assert_eq!(p.range_for(n), r);
+            assert!(
+                p.range_for(n + 1) > r,
+                "n = {n} is the highest load at r = {r}"
+            );
+            for _ in 0..8 {
+                let mut elements: Vec<u32> = (0..n)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        (state % 100_000) as u32
+                    })
+                    .collect();
+                elements.sort_unstable();
+                elements.dedup();
+                let out = build(p.clone(), &elements);
+                assert_eq!(out.batmap.range(), p.range_for(elements.len()));
+                assert_eq!(out.batmap.len() + out.failed.len(), elements.len());
+                assert_eq!(out.batmap.elements().len(), out.batmap.len());
+                for &f in &out.failed {
+                    assert!(!out.batmap.contains(f), "failed {f} still stored");
+                }
+                failures += out.failed.len();
+                total += elements.len();
+            }
+        }
+        // The failed fraction stays small at load 4/9.
+        assert!(failures * 50 < total, "{failures} of {total} failed");
     }
 
     #[test]

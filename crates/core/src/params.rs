@@ -29,8 +29,10 @@ pub const NULL_KEY: u8 = 0x7F;
 pub const EMPTY_SLOT: u8 = NULL_KEY;
 
 /// Default bound on cuckoo-insertion element moves before the insertion
-/// is declared failed (§II-A `MaxLoop`). With ranges `r ≥ 2n` failures
-/// are rare (§II-B bounds the probability by `O((ε³nr)⁻¹)`), so a modest
+/// is declared failed (§II-A `MaxLoop`). With ranges `r ≥ 3n/2`
+/// ([`BatmapParams::range_for`]) failures are rare (§II-B bounds the
+/// probability by `O((ε³nr)⁻¹)` for `r ≥ (2+ε)n`; at the narrower rule
+/// ≈ 0.05% of the uniform instance's elements fail), so a modest
 /// constant suffices.
 pub const DEFAULT_MAX_LOOP: u32 = 128;
 
@@ -217,13 +219,21 @@ impl BatmapParams {
     }
 
     /// Per-table hash range for a set of `set_size` elements:
-    /// `r = max(r₀, 2·2^⌈log₂ size⌉)` (§III-A; the `2·2^⌈log₂|Sᵢ|⌉`
-    /// sizing gives load factor ≤ 1/3, comfortably inside the
-    /// `r ≥ (2+ε)n` regime of the §II-B analysis; the `r₀` floor is the
-    /// compression constraint that causes the low-density uptick in
-    /// Fig. 8).
+    /// `r = max(r₀, 2^⌈log₂ ⌈3·size/2⌉⌉)`.
+    ///
+    /// Ranges stay powers of two, as §II folding needs. Each element
+    /// takes 2 of the `3·r` slots, so the load `2n/3r` is at most 4/9.
+    /// Deviation from the paper (ARCHITECTURE.md, "Deviations from the
+    /// paper", item 7): §III-A sizes `r = 2·2^⌈log₂|Sᵢ|⌉` (load ≤ 1/3,
+    /// inside the `r ≥ (2+ε)n` regime of the §II-B analysis). That rule
+    /// puts a doubling boundary through the middle of clustered set
+    /// sizes, and the sweep then reads up to twice the bytes. The
+    /// narrower rule raises the failed-insertion rate (≈ 0.05% of
+    /// elements on the uniform instance), and the exact correction path
+    /// repairs every failure. The `r₀` floor is the compression
+    /// constraint that causes the low-density uptick in Fig. 8.
     pub fn range_for(&self, set_size: usize) -> u64 {
-        let natural = 2 * (set_size.max(1) as u64).next_power_of_two();
+        let natural = (set_size.max(1) as u64 * 3).div_ceil(2).next_power_of_two();
         natural.max(self.r0)
     }
 
@@ -336,12 +346,23 @@ mod tests {
     #[test]
     fn range_for_matches_paper_sizing() {
         let p = BatmapParams::new(50_000, 7);
-        // Average set of 2500 elements: r = 2·2^⌈log₂ 2500⌉ = 8192, and
-        // the batmap is 3·8192 = 24576 bytes = 3·2^13 (§IV-A throughput
-        // computation).
-        assert_eq!(p.range_for(2500), 8192);
+        // Average set of 2500 elements: r = 2^⌈log₂ 3750⌉ = 4096, so the
+        // batmap is 3·4096 = 12288 bytes. Deviation 7: the paper's
+        // §IV-A throughput computation sizes it at 3·2^13 = 24576 bytes
+        // (r = 2·2^⌈log₂ 2500⌉ = 8192).
+        assert_eq!(p.range_for(2500), 4096);
         assert_eq!(p.range_for(0), p.r0());
         assert_eq!(p.range_for(1), p.r0().max(2));
+        // The load 2n/3r never exceeds 4/9, and the range is the least
+        // power of two that keeps it there.
+        for n in 1..20_000usize {
+            let r = p.range_for(n);
+            assert!(r.is_power_of_two() && r >= p.r0());
+            assert!(9 * 2 * n as u64 <= 4 * 3 * r, "n={n} r={r}");
+            if r > p.r0() {
+                assert!(9 * 2 * n as u64 > 4 * 3 * (r / 2), "n={n} r={r} not least");
+            }
+        }
     }
 
     #[test]

@@ -199,29 +199,41 @@ impl Batmap {
     /// Rebuild this batmap over `elements` with range at least
     /// `min_range` (doubling further if a rebuild itself fails —
     /// vanishingly unlikely but handled).
-    fn rebuild(&mut self, mut elements: Vec<u32>, mut min_range: u64) {
+    fn rebuild(&mut self, mut elements: Vec<u32>, min_range: u64) {
         elements.sort_unstable();
         elements.dedup();
+        let rebuilt = Batmap::build_placing_all(self.params().clone(), &elements, min_range);
+        self.replace_with(rebuilt);
+    }
+
+    /// Build `sorted` (ascending, duplicate-free) at range at least
+    /// `min_range`, doubling the range until every element is placed:
+    /// the result has no failed insertions to correct for.
+    pub(crate) fn build_placing_all(
+        params: crate::ParamsHandle,
+        sorted: &[u32],
+        mut min_range: u64,
+    ) -> Batmap {
         loop {
-            // `range_for(s) = max(r0, 2·2^⌈log₂ s⌉)`, so a size hint of
-            // min_range/2 yields exactly min_range (both powers of two).
-            let size_hint = elements.len().max((min_range / 2) as usize);
+            let size_hint = sorted.len().max(growth_hint(min_range));
             let mut builder =
-                crate::builder::BatmapBuilder::with_capacity(self.params().clone(), size_hint);
-            let mut ok = true;
-            for &e in &elements {
-                if builder.insert(e) == crate::builder::InsertOutcome::Failed {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                self.replace_with(builder.finish().batmap);
-                return;
+                crate::builder::BatmapBuilder::with_capacity(params.clone(), size_hint);
+            let placed_all = sorted
+                .iter()
+                .all(|&e| builder.insert(e) != crate::builder::InsertOutcome::Failed);
+            if placed_all {
+                return builder.finish().batmap;
             }
             min_range *= 2;
         }
     }
+}
+
+/// A builder size hint whose `range_for` is exactly `range` (a power
+/// of two ≥ `r₀`): `range_for(s) = max(r₀, 2^⌈log₂ ⌈3s/2⌉⌉)`, and
+/// `⌈3·range/4⌉` lies in `(range/2, range]`.
+fn growth_hint(range: u64) -> usize {
+    (range / 2) as usize
 }
 
 #[cfg(test)]
@@ -234,6 +246,20 @@ mod tests {
 
     fn params(m: u64) -> ParamsHandle {
         Arc::new(BatmapParams::new(m, 0x0DD))
+    }
+
+    #[test]
+    fn growth_hint_yields_the_requested_range() {
+        for m in [1_000u64, 50_000, 1 << 20] {
+            let p = params(m);
+            for range in (0..16).map(|e| p.r0() << e) {
+                assert_eq!(
+                    p.range_for(growth_hint(range)),
+                    range,
+                    "m={m} range={range}"
+                );
+            }
+        }
     }
 
     #[test]

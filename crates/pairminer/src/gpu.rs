@@ -374,8 +374,9 @@ mod tests {
         // Same-width batmaps: every group runs σ slices; each slice
         // stages 32 aligned 16-word loads = 32 transactions × 64 B.
         // The §III-B accounting must land on those numbers exactly.
+        // Sets of 334 and 250 elements share one width class (r = 512).
         let tids: Vec<Vec<u32>> = (0..16)
-            .map(|i| (0..1000u32).step_by(2 + i as usize % 2).collect())
+            .map(|i| (0..1000u32).step_by(3 + i as usize % 2).collect())
             .collect();
         let v = VerticalDb::new(1000, tids);
         let pre = preprocess(&v, 3, 128);

@@ -41,6 +41,8 @@ pub use executor::{
 pub use ingest::{CompactionJob, IngestError, LayeredCorpus, WindowedMiner};
 pub use levelwise::{LevelReport, LevelwiseConfig, LevelwiseMiner, LevelwiseReport};
 pub use memory::MemoryReport;
-pub use miner::{mine, mine_preprocessed, Engine, MinerConfig, MiningReport, Timings};
+pub use miner::{
+    build_pair_map, mine, mine_preprocessed, Engine, MinerConfig, MiningReport, PairEntry, Timings,
+};
 pub use preprocess::{preprocess, preprocess_with, Preprocessed, BLOCK, GPU_MIN_SHIFT};
 pub use schedule::{schedule, Tile};

@@ -6,11 +6,13 @@ use crate::failed::{FailedPairs, MissingPair};
 use crate::memory::MemoryReport;
 use crate::preprocess::{preprocess_with, Preprocessed};
 use crate::schedule::Tile;
-use batmap::{EngineOptions, ReprPolicy};
+use batmap::{EngineOptions, Parallelism, ReprPolicy};
 use fim::pairs::{pair_key, PairMap};
 use fim::{TransactionDb, VerticalDb};
 use gpu_sim::{DeviceSpec, KernelStats};
 use hpcutil::{MemoryFootprint, Stopwatch};
+use rayon::prelude::*;
+use std::hash::BuildHasher;
 
 /// Which engine executes the tile comparisons.
 #[derive(Debug, Clone)]
@@ -78,9 +80,10 @@ pub struct Timings {
     /// the whole band region, with the workers' harvest (failed-pair
     /// merge, threshold, remap to original ids) included.
     pub kernel_s: f64,
-    /// The one build of the result map at its final size, plus (GPU
-    /// engine only) the host-side harvest that the CPU engine counts in
-    /// `kernel_s`.
+    /// The one build of the result map at its final size (the radix
+    /// partition of the workers' pair lists plus the partition-ordered
+    /// inserts, [`build_pair_map`]), plus (GPU engine only) the
+    /// host-side harvest that the CPU engine counts in `kernel_s`.
     pub postprocess_s: f64,
 }
 
@@ -124,18 +127,24 @@ pub struct MiningReport {
     pub watchdog_violations: usize,
 }
 
+/// One reported pair: its key in original item ids, and its support.
+pub type PairEntry = ((u32, u32), u64);
+
 /// The miner's [`TileConsumer`]: folds each band's (or tile's) counts
 /// straight into a flat list of reported pairs, already keyed by
 /// original item id, via [`harvest_tile`]. One instance per worker;
-/// workers own disjoint bands, so merging is a plain append and the
-/// result map is built once, at its final size, by [`mine_over`].
+/// workers own disjoint bands, so merging keeps each worker's list as
+/// it is, and [`build_pair_map`] builds the result map from all of them
+/// once, at its final size.
 struct HarvestConsumer<'a> {
     /// Original item id of each planned real set, by plan index; plan
     /// indices at or past its length are padding.
     ids: &'a [u32],
     failed: &'a FailedPairs,
     minsup: u64,
-    out: Vec<((u32, u32), u64)>,
+    out: Vec<PairEntry>,
+    /// The lists of the workers merged into this one.
+    absorbed: Vec<Vec<PairEntry>>,
 }
 
 impl TileConsumer for HarvestConsumer<'_> {
@@ -150,10 +159,20 @@ impl TileConsumer for HarvestConsumer<'_> {
         );
     }
 
-    fn absorb(&mut self, mut other: Self) {
+    fn absorb(&mut self, other: Self) {
         // Bands partition the pair space, so no key repeats across
         // workers.
-        self.out.append(&mut other.out);
+        self.absorbed.push(other.out);
+        self.absorbed.extend(other.absorbed);
+    }
+}
+
+impl HarvestConsumer<'_> {
+    /// Every worker's pair list.
+    fn into_lists(self) -> Vec<Vec<PairEntry>> {
+        let mut lists = self.absorbed;
+        lists.push(self.out);
+        lists
     }
 }
 
@@ -254,6 +273,7 @@ fn mine_over(
         failed: &failed,
         minsup: config.minsup,
         out: Vec::new(),
+        absorbed: Vec::new(),
     };
     let (harvested, exec) = match &config.engine {
         Engine::Gpu(device) => GpuSimExecutor { device }.execute(pre, &plan, make),
@@ -267,8 +287,7 @@ fn mine_over(
     // remap already happened per tile, as the paper does when each
     // Z_{p,q} returns).
     let mut post = Stopwatch::start();
-    let mut pairs = PairMap::with_capacity_and_hasher(harvested.out.len(), Default::default());
-    pairs.extend(harvested.out);
+    let pairs = build_pair_map(harvested.into_lists(), config.options.threads);
     let postprocess_s = exec.consume_s + post.lap().as_secs_f64();
 
     let memory = MemoryReport {
@@ -296,6 +315,72 @@ fn mine_over(
     }
 }
 
+/// Radix bits of [`build_pair_map`]: the table is cut into 256
+/// partitions.
+const PARTITION_BITS: u32 = 8;
+
+/// Bucket count of the table `PairMap::with_capacity(n)` allocates, for
+/// `n ≥ 8`: std's `(n·8/7).next_power_of_two()` (load ≤ 7/8; smaller
+/// tables round differently, which costs nothing here).
+fn table_buckets(n: usize) -> usize {
+    (n.max(1) * 8 / 7).next_power_of_two()
+}
+
+/// Build the result map from the workers' pair lists, in hash-partition
+/// order (radix-partitioned hash building: Manegold, Boncz & Kersten,
+/// TKDE 2002; Balkesen et al., ICDE 2013).
+///
+/// A pair's bucket in the final table is `hash & (buckets − 1)`. Each
+/// list is partitioned by the top [`PARTITION_BITS`] of that bucket
+/// index (one histogram pass, one scatter pass, the lists in parallel
+/// under `parallelism` as the tile executor applies it) and dropped
+/// once scattered. Only then is the map allocated, and the inserts run
+/// partition by partition across the lists, so each partition's inserts
+/// land in one 1/256 slice of the table and stay in cache. Keys must be
+/// distinct across all lists.
+///
+/// The bucket count is std's rule for the final size
+/// ([`table_buckets`]); if std's table layout ever differs, the
+/// partition order only loses its locality, never any content.
+pub fn build_pair_map(lists: Vec<Vec<PairEntry>>, parallelism: Parallelism) -> PairMap {
+    const PARTS: usize = 1 << PARTITION_BITS;
+    let n: usize = lists.iter().map(Vec::len).sum();
+    let mut pairs = PairMap::default();
+    let buckets = table_buckets(n);
+    let shift = buckets.trailing_zeros().saturating_sub(PARTITION_BITS);
+    let state = pairs.hasher().clone();
+    let part = |key: &(u32, u32)| (state.hash_one(key) as usize & (buckets - 1)) >> shift;
+    let scatter = |list: Vec<PairEntry>| {
+        let mut starts = [0usize; PARTS + 1];
+        for (key, _) in &list {
+            starts[part(key) + 1] += 1;
+        }
+        for p in 0..PARTS {
+            starts[p + 1] += starts[p];
+        }
+        let mut next = starts;
+        let mut scattered = vec![((0, 0), 0); list.len()];
+        for entry in list {
+            let at = &mut next[part(&entry.0)];
+            scattered[*at] = entry;
+            *at += 1;
+        }
+        (scattered, starts)
+    };
+    let run = || lists.into_par_iter().map(scatter).collect::<Vec<_>>();
+    let partitioned = match parallelism.pinned() {
+        Some(threads) => hpcutil::scoped_pool(threads, run),
+        None => run(),
+    };
+    pairs.reserve(n);
+    for p in 0..PARTS {
+        for (scattered, starts) in &partitioned {
+            pairs.extend(scattered[starts[p]..starts[p + 1]].iter().copied());
+        }
+    }
+    pairs
+}
+
 /// Fold one band's (or tile's) dense counts into `out` as
 /// original-id pairs: apply the diagonal triangle filter, drop padding
 /// (plan indices at or past `ids.len()`, the count of planned real
@@ -314,7 +399,7 @@ fn harvest_tile(
     ids: &[u32],
     extras: &[MissingPair],
     minsup: u64,
-    out: &mut Vec<((u32, u32), u64)>,
+    out: &mut Vec<PairEntry>,
 ) {
     let n = ids.len();
     let minsup = minsup.max(1);
@@ -346,7 +431,6 @@ fn harvest_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use batmap::Parallelism;
     use fim::pairs::brute_force_pairs;
 
     fn test_db(n: u32, m: usize, modulus: u32) -> TransactionDb {
@@ -478,6 +562,46 @@ mod tests {
         };
         let counts = vec![0; band.rows * band.cols];
         harvest_tile(&band, &counts, &ids, &[((3, 25), 1)], 1, &mut Vec::new());
+    }
+
+    #[test]
+    fn table_buckets_match_std_capacity() {
+        // The partition order assumes std's bucket count; a table of
+        // `b ≥ 8` buckets holds 7/8·b entries.
+        for n in (8..2_000).chain([100_000, 3_060_000]) {
+            let map = PairMap::with_capacity_and_hasher(n, Default::default());
+            assert_eq!(map.capacity(), table_buckets(n) / 8 * 7, "n={n}");
+        }
+        let entries: Vec<PairEntry> = (0..1_000).map(|i| ((i, i + 1), 1)).collect();
+        let built = build_pair_map(vec![entries], Parallelism::Serial);
+        assert_eq!(built.capacity(), table_buckets(1_000) / 8 * 7);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// The partitioned build equals a plain map built from the same
+        /// entries, for 1–4 worker lists of any length: empty lists,
+        /// lists shorter than the 256 partitions, and totals whose
+        /// tables span several partitions per bucket range.
+        #[test]
+        fn partitioned_build_matches_from_iter(
+            entries in proptest::collection::vec((0u32..3_000, 0u32..3_000, 1u64..1_000), 0..3_000),
+            workers in 1usize..5,
+            owners in proptest::collection::vec(0usize..4, 3_000),
+            threads in 1usize..4,
+        ) {
+            let mut seen = std::collections::HashSet::new();
+            let mut lists = vec![Vec::new(); workers];
+            for (at, &(a, b, support)) in entries.iter().enumerate() {
+                if a != b && seen.insert(pair_key(a, b)) {
+                    lists[owners[at] % workers].push((pair_key(a, b), support));
+                }
+            }
+            let expect: PairMap = lists.iter().flatten().copied().collect();
+            let built = build_pair_map(lists, Parallelism::threads(threads));
+            proptest::prop_assert_eq!(built, expect);
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@ fn main() {
     );
 
     // Three sets. `build` returns a BuildOutcome: the batmap plus any
-    // failed insertions (none at sane load factors).
+    // failed insertions (rare at the sizing rule's load ≤ 4/9; none for
+    // these sets).
     let evens: Vec<u32> = (0..20_000).map(|i| i * 2).collect();
     let threes: Vec<u32> = (0..13_000).map(|i| i * 3).collect();
     let small: Vec<u32> = (0..500).map(|i| i * 101).collect();

@@ -322,3 +322,152 @@ fn mine_preprocessed_rejects_mismatched_database() {
     let result = std::panic::catch_unwind(|| mine_preprocessed(&other, &loaded, &config));
     assert!(result.is_err(), "foreign database must be rejected");
 }
+
+/// A corpus as `preprocess` built it before `range_for` moved to
+/// `2^⌈log₂ ⌈3|S|/2⌉⌉`: every batmap at the paper's §III-A range
+/// `max(r₀, 2·2^⌈log₂|S|⌉)`, sets sorted by that width (ties by item
+/// id) and padded to a multiple of [`pairminer::BLOCK`], failures
+/// indexed by sorted position. Built in place through
+/// `BatmapArena::with_ranges`.
+fn old_width_corpus(d: &TransactionDb, seed: u64, max_loop: u32) -> Preprocessed {
+    use batmap::{BatmapArena, BatmapBuilder, BatmapParams, EngineOptions};
+    let v = VerticalDb::from_horizontal(d);
+    let params = std::sync::Arc::new(
+        BatmapParams::with_options(v.m() as u64, seed, max_loop, pairminer::GPU_MIN_SHIFT)
+            .with_engine_options(EngineOptions::auto().repr(ReprPolicy::Batmap)),
+    );
+    let old_range = |len: usize| (2 * len.max(1).next_power_of_two() as u64).max(params.r0());
+    let n = v.n_items();
+    let mut order: Vec<u32> = (0..n).collect();
+    order.sort_by_key(|&i| (old_range(v.tidlist(i).len()), i));
+    let mut item_to_sorted = vec![0u32; n as usize];
+    for (s, &item) in order.iter().enumerate() {
+        item_to_sorted[item as usize] = s as u32;
+    }
+    let padded = (n as usize).next_multiple_of(pairminer::BLOCK);
+    let tidlist = |s: usize| {
+        if s < n as usize {
+            v.tidlist(order[s])
+        } else {
+            &[]
+        }
+    };
+    let ranges: Vec<u64> = (0..padded).map(|s| old_range(tidlist(s).len())).collect();
+    let mut stage = BatmapArena::with_ranges(params.clone(), &ranges);
+    let (mut lens, mut failed) = (Vec::new(), Vec::new());
+    for (s, out) in stage.set_slices().into_iter().enumerate() {
+        // Under the current rule a size hint of 2^⌈log₂|S|⌉ yields the
+        // old range.
+        let mut builder =
+            BatmapBuilder::with_capacity(params.clone(), tidlist(s).len().next_power_of_two());
+        assert_eq!(builder.range(), ranges[s]);
+        builder.extend_sorted_dedup(tidlist(s));
+        let outcome = builder.finish_into(out);
+        failed.extend(outcome.failed.iter().map(|&tid| (s as u32, tid)));
+        lens.push(outcome.len);
+    }
+    failed.sort_unstable();
+    Preprocessed {
+        params,
+        arena: stage.finish(&lens),
+        order,
+        item_to_sorted,
+        n_items: n,
+        failed,
+        stats: Default::default(),
+    }
+}
+
+#[test]
+fn old_width_corpus_loads_counts_exactly_and_never_shrinks_on_insert() {
+    // 3,000 live transactions and 200 free slots. Items 0..16 hold 150
+    // tids, where the old rule's range (512) is twice the current one
+    // (256); items 16..24 hold 200, where both rules agree. MaxLoop 1
+    // forces failed insertions at either width.
+    let d = TransactionDb::new(
+        24,
+        (0..3_200u32)
+            .map(|t| {
+                (0..24u32)
+                    .filter(|&i| t < 3_000 && (t + 7 * i) % if i < 16 { 20 } else { 15 } == 0)
+                    .collect()
+            })
+            .collect(),
+    );
+    let seed = MinerConfig::default().seed;
+    let old = old_width_corpus(&d, seed, 1);
+    let widened = (0..old.n_items as usize)
+        .filter(|&s| old.batmap(s).range() > old.params.range_for(old.batmap(s).len()))
+        .count();
+    assert_eq!(widened, 16, "fixture must sit where the two rules differ");
+    assert!(!old.failed.is_empty(), "fixture must force failures");
+
+    // Both snapshot envelopes keep every set's stored range and bytes.
+    let mut arena_bytes = Vec::new();
+    old.arena.write_to(&mut arena_bytes).unwrap();
+    let arena = batmap::BatmapArena::read_from(&mut arena_bytes.as_slice()).unwrap();
+    let mut corpus_bytes = Vec::new();
+    old.write_snapshot(&mut corpus_bytes).unwrap();
+    let loaded = Preprocessed::read_snapshot(&mut corpus_bytes.as_slice()).unwrap();
+    assert_eq!(loaded.failed, old.failed);
+    for s in 0..old.padded_items() {
+        for copy in [arena.get(s), loaded.batmap(s)] {
+            assert_eq!(copy.range(), old.batmap(s).range(), "set {s}");
+            assert_eq!(copy.as_bytes(), old.batmap(s).as_bytes(), "set {s}");
+        }
+    }
+
+    // Mining and the exact per-pair correction both match the tidlist
+    // oracle, before and after delta inserts.
+    for threads in [Parallelism::Serial, Parallelism::threads(2)] {
+        let config = MinerConfig {
+            k: 16,
+            max_loop: 1,
+            engine: Engine::Cpu,
+            options: batmap::EngineOptions::auto().threads(threads),
+            ..Default::default()
+        };
+        let served = mine_preprocessed(&d, &loaded, &config);
+        assert_eq!(served.pairs, fim::pairs::brute_force_pairs(&d, 1));
+        assert!(served.failed_pair_occurrences > 0);
+    }
+    let mut live = pairminer::LayeredCorpus::from_preprocessed(loaded, seed);
+    let assert_exact = |live: &pairminer::LayeredCorpus| {
+        let v = VerticalDb::from_horizontal(&live.database());
+        for a in 0..24u32 {
+            for b in a + 1..24 {
+                let oracle = v
+                    .tidlist(a)
+                    .iter()
+                    .filter(|t| v.tidlist(b).binary_search(t).is_ok())
+                    .count() as u64;
+                assert_eq!(live.pair_count(a, b), oracle, "pair ({a}, {b})");
+            }
+        }
+    };
+    assert_exact(&live);
+    for tid in 3_000..3_200u32 {
+        let items: Vec<u32> = (0..24).filter(|&i| (tid + i) % 3 == 0).collect();
+        let before: Vec<u64> = (0..24).map(|i| live.count(i)).collect();
+        live.insert_txn(tid, &items).unwrap();
+        for i in 0..24u32 {
+            let grew = items.contains(&i) as u64;
+            assert_eq!(
+                live.count(i),
+                before[i as usize] + grew,
+                "item {i}, tid {tid}"
+            );
+        }
+    }
+    assert_exact(&live);
+
+    // An in-place insert into an old-width batmap never narrows it.
+    let s = live.pre().item_to_sorted[0] as usize;
+    let mut set = live.pre().batmap(s).to_batmap();
+    for tid in 3_000..3_200u32 {
+        let range = set.range();
+        set.insert_mut(tid);
+        assert!(set.range() >= range, "insert narrowed set {s}");
+        assert!(set.contains(tid));
+    }
+}
