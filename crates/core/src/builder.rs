@@ -5,10 +5,14 @@
 //! `A₁, A₂, A₃, A₁, …`, swapping it with whatever occupies its candidate
 //! slot, until a swap lands in an empty slot or `MaxLoop` cycles pass.
 //!
-//! During construction we keep a transient side array with the *element
-//! id* occupying each slot (the compressed byte form is only materialized
+//! During construction we keep a transient side array with the
+//! occupant of each slot (the compressed byte form is only materialized
 //! at the end); this is what lets evicted elements be re-addressed, and
-//! what the final indicator-bit pass reads.
+//! what the final indicator-bit pass reads. An occupant is a *local
+//! index* into the builder's element table, which holds each element's
+//! id and its three permuted values `πₜ(x)`: the Feistel permutation
+//! runs three times per element, never again per cuckoo move or per
+//! stored copy.
 //!
 //! Failed insertions (§III-C): if either copy of `x` cannot be placed,
 //! all copies of `x` are removed, the currently nestless element is
@@ -81,8 +85,13 @@ pub struct BatmapBuilder {
     params: ParamsHandle,
     /// Per-table range; the batmap holds `3·r` slots.
     r: u64,
-    /// Element id in each slot, [`VACANT`] when empty.
+    /// Local index of the element in each slot, [`VACANT`] when empty.
     occupants: Vec<u32>,
+    /// Element id of each local index.
+    ids: Vec<u32>,
+    /// `πₜ(x)` of each local index, one per table (`πₜ(x) < m`, and the
+    /// universe fits `u32`).
+    pis: Vec<[u32; TABLES]>,
     /// Elements placed (each occupies two slots).
     len: usize,
     /// Elements whose insertion failed.
@@ -109,6 +118,8 @@ impl BatmapBuilder {
             params,
             r,
             occupants: vec![VACANT; (TABLES as u64 * r) as usize],
+            ids: Vec::new(),
+            pis: Vec::new(),
             len: 0,
             failed: Vec::new(),
             stats: InsertStats::default(),
@@ -130,21 +141,45 @@ impl BatmapBuilder {
         self.len == 0
     }
 
-    /// Candidate slot of element `x` in table `t`.
+    /// The three permuted values of element `x`.
     #[inline]
-    fn candidate(&self, t: usize, x: u32) -> usize {
-        let pi = self.params.perms().apply(t, x as u64);
-        self.params.slot_of(t, pi, self.r)
+    fn permute(&self, x: u32) -> [u32; TABLES] {
+        std::array::from_fn(|t| self.params.perms().apply(t, x as u64) as u32)
+    }
+
+    /// Add `x` with its permuted values to the element table and return
+    /// its local index.
+    #[inline]
+    fn register(&mut self, x: u32, pis: [u32; TABLES]) -> u32 {
+        self.ids.push(x);
+        self.pis.push(pis);
+        (self.ids.len() - 1) as u32
+    }
+
+    /// Candidate slot of local element `e` in table `t`.
+    #[inline]
+    fn candidate(&self, t: usize, e: u32) -> usize {
+        self.params
+            .slot_of(t, self.pis[e as usize][t] as u64, self.r)
+    }
+
+    /// Whether an element with permuted values `pis` is placed under id
+    /// `x`.
+    fn holds(&self, x: u32, pis: &[u32; TABLES]) -> bool {
+        (0..TABLES).any(|t| {
+            let occ = self.occupants[self.params.slot_of(t, pis[t] as u64, self.r)];
+            occ != VACANT && self.ids[occ as usize] == x
+        })
     }
 
     /// Whether `x` is currently placed (i.e. occupies ≥ 1 slot).
     pub fn contains(&self, x: u32) -> bool {
-        (0..TABLES).any(|t| self.occupants[self.candidate(t, x)] == x)
+        self.holds(x, &self.permute(x))
     }
 
-    /// The §II-A INSERT procedure: push `tau` through the tables until a
-    /// vacant slot absorbs it or `MaxLoop` cycles pass; on failure the
-    /// currently nestless element is returned.
+    /// The §II-A INSERT procedure: push local element `tau` through the
+    /// tables until a vacant slot absorbs it or `MaxLoop` cycles pass;
+    /// on failure the currently nestless element is returned.
     fn insert_copy(&mut self, mut tau: u32) -> Result<(), u32> {
         let mut transcript = 0u64;
         for _ in 0..self.params.max_loop() {
@@ -164,31 +199,32 @@ impl BatmapBuilder {
         Err(tau)
     }
 
-    /// Remove every placed copy of `x` (at most one per table).
-    fn remove_all(&mut self, x: u32) {
+    /// Remove every placed copy of local element `e` (at most one per
+    /// table).
+    fn remove_all(&mut self, e: u32) {
         for t in 0..TABLES {
-            let slot = self.candidate(t, x);
-            if self.occupants[slot] == x {
+            let slot = self.candidate(t, e);
+            if self.occupants[slot] == e {
                 self.occupants[slot] = VACANT;
             }
         }
     }
 
-    /// Failure recovery (§III-C): drop `x` entirely, then re-home the
+    /// Failure recovery (§III-C): drop `e` entirely, then re-home the
     /// chain of nestless elements. Each iteration either re-places the
     /// nestless element or removes it too (and continues with the next
     /// victim), so the loop terminates.
-    fn recover(&mut self, x: u32, mut nestless: u32) {
-        self.remove_all(x);
-        self.failed.push(x);
+    fn recover(&mut self, e: u32, mut nestless: u32) {
+        self.remove_all(e);
+        self.failed.push(self.ids[e as usize]);
         self.stats.failures += 1;
-        while nestless != x {
+        while nestless != e {
             match self.insert_copy(nestless) {
                 Ok(()) => break,
                 Err(next) => {
                     let victim = nestless;
                     self.remove_all(victim);
-                    self.failed.push(victim);
+                    self.failed.push(self.ids[victim as usize]);
                     self.stats.failures += 1;
                     self.len -= 1; // victim had been fully placed before
                     if next == victim {
@@ -200,21 +236,33 @@ impl BatmapBuilder {
         }
     }
 
-    /// Insert element `x < m` (two copies).
-    pub fn insert(&mut self, x: u32) -> InsertOutcome {
-        assert!((x as u64) < self.params.m(), "element {x} outside universe");
-        if self.contains(x) {
-            return InsertOutcome::Duplicate;
-        }
+    /// Place both copies of local element `e`; false (after recovery)
+    /// when placement failed.
+    fn place(&mut self, e: u32) -> bool {
         self.stats.elements += 1;
         for _copy in 0..2 {
-            if let Err(nestless) = self.insert_copy(x) {
-                self.recover(x, nestless);
-                return InsertOutcome::Failed;
+            if let Err(nestless) = self.insert_copy(e) {
+                self.recover(e, nestless);
+                return false;
             }
         }
         self.len += 1;
-        InsertOutcome::Inserted
+        true
+    }
+
+    /// Insert element `x < m` (two copies).
+    pub fn insert(&mut self, x: u32) -> InsertOutcome {
+        assert!((x as u64) < self.params.m(), "element {x} outside universe");
+        let pis = self.permute(x);
+        if self.holds(x, &pis) {
+            return InsertOutcome::Duplicate;
+        }
+        let e = self.register(x, pis);
+        if self.place(e) {
+            InsertOutcome::Inserted
+        } else {
+            InsertOutcome::Failed
+        }
     }
 
     /// Re-arm this builder for a fresh set of `expected_size` elements,
@@ -226,6 +274,8 @@ impl BatmapBuilder {
         self.occupants.clear();
         self.occupants
             .resize((TABLES as u64 * self.r) as usize, VACANT);
+        self.ids.clear();
+        self.pis.clear();
         self.len = 0;
         self.failed.clear();
         self.stats = InsertStats::default();
@@ -235,19 +285,11 @@ impl BatmapBuilder {
     /// [`build_sorted_dedup`]) against this builder. Elements must be
     /// sorted and duplicate-free; the builder must be sized for them.
     pub fn extend_sorted_dedup(&mut self, elements: &[u32]) {
+        self.ids.reserve(elements.len());
+        self.pis.reserve(elements.len());
         for &x in elements {
-            self.stats.elements += 1;
-            let mut placed = true;
-            for _copy in 0..2 {
-                if let Err(nestless) = self.insert_copy(x) {
-                    self.recover(x, nestless);
-                    placed = false;
-                    break;
-                }
-            }
-            if placed {
-                self.len += 1;
-            }
+            let e = self.register(x, self.permute(x));
+            self.place(e);
         }
     }
 
@@ -264,24 +306,23 @@ impl BatmapBuilder {
                 continue;
             }
             let here = self.params.table_of_slot(idx);
-            let pi = self.params.perms().apply(here, occ as u64);
-            debug_assert_eq!(self.params.slot_of(here, pi, self.r), idx);
+            debug_assert_eq!(self.candidate(here, occ), idx);
             // Locate the other copy among the other two tables.
             let mut other = usize::MAX;
             for t in 0..TABLES {
-                if t == here {
-                    continue;
-                }
-                let cand = self
-                    .params
-                    .slot_of(t, self.params.perms().apply(t, occ as u64), self.r);
-                if self.occupants[cand] == occ {
-                    debug_assert_eq!(other, usize::MAX, "element {occ} placed 3 times");
+                if t != here && self.occupants[self.candidate(t, occ)] == occ {
+                    debug_assert_eq!(other, usize::MAX, "element placed 3 times");
                     other = t;
                 }
             }
-            assert_ne!(other, usize::MAX, "element {occ} has a single copy");
+            assert_ne!(
+                other,
+                usize::MAX,
+                "element {} has a single copy",
+                self.ids[occ as usize]
+            );
             let indicator = slot::indicator_for(here, other);
+            let pi = self.pis[occ as usize][here] as u64;
             bytes[idx] = slot::pack(self.params.key_of(pi), indicator);
         }
     }
@@ -352,8 +393,9 @@ mod tests {
         let mut b = BatmapBuilder::with_capacity(p.clone(), 16);
         assert_eq!(b.insert(42), InsertOutcome::Inserted);
         let copies = (0..TABLES)
-            .filter(|&t| b.occupants[b.candidate(t, 42)] == 42)
+            .filter(|&t| b.occupants[b.candidate(t, 0)] == 0)
             .count();
+        assert_eq!(b.ids[0], 42);
         assert_eq!(copies, 2);
         assert_eq!(b.len(), 1);
     }

@@ -16,11 +16,26 @@
 //! indicator bit of `x ∨ y` masked by the key-equality verdict — so one
 //! `popcount` per register finishes the horizontal add that costs the
 //! SWAR formulations four shifts (u32) or a scalar `popcnt` per eight
-//! lanes (u64). The AVX-512 backend expresses the same predicate in
-//! mask registers: `_mm512_cmpeq_epi8_mask` yields the key-equality
-//! verdict directly as a `__mmask64`, `_mm512_movepi8_mask` extracts
-//! the indicator MSBs, and one `count_ones` of their AND finishes 64
-//! lanes — no byte-wide `hit` vector is ever materialized.
+//! lanes (u64).
+//!
+//! The AVX-512 backend evaluates the whole predicate in one
+//! `vpternlogd` and keeps its counts in vector registers:
+//!
+//! ```text
+//! f     = ternlog₀ₓ₆₁(0x7F..7F, x, y)   bits 0–6: x ⊕ y; bit 7: ¬(x ∨ y)
+//! miss  = min_epu8(f, 1)                0 iff counted match, else 1
+//! acc  += miss                          64 byte counters per candidate
+//! every ≤ 255 chunks: wide += sad_epu8(acc, 0); acc = 0
+//! count = 64·chunks − Σ wide + SWAR tail
+//! ```
+//!
+//! With `0x7F` as the first operand, immediate `0x61` selects `x ⊕ y`
+//! where that operand's bit is 1 and `¬(x ∨ y)` where it is 0, so a lane
+//! is zero exactly when its keys agree and an indicator bit is set.
+//! Three vector instructions per chunk and candidate (ternlog, min,
+//! add) replace a compare, a mask extraction, a mask AND, a mask move
+//! and a scalar `popcnt`, and the byte counters cannot wrap because a
+//! lane gains at most 1 per chunk and is folded (`vpsadbw`) before 255.
 //!
 //! Three design rules shared by both backends (and mirrored by the SWAR
 //! slice kernels in [`crate::swar`]):
@@ -58,6 +73,9 @@ use std::arch::x86_64::*;
 /// across several comparisons, few enough that the per-candidate
 /// accumulators stay in registers.
 pub const MANY_BLOCK: usize = 4;
+
+// `avx512_count_many` has one arm per block size up to four.
+const _: () = assert!(MANY_BLOCK == 4);
 
 /// Abort if `candidates`/`out` disagree or a candidate's width differs
 /// from the probe's (the batched loops index all arrays in lockstep).
@@ -252,55 +270,133 @@ fn assert_avx512() {
     );
 }
 
-/// Matching lanes of two 512-bit registers of 64 slots each. The
-/// predicate runs in mask registers: key equality arrives as a
-/// `__mmask64` straight from the compare, the indicator bits via
-/// `movepi8_mask`, and their AND popcounts in one scalar op.
-#[inline]
-#[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn hit_count_512(x: __m512i, y: __m512i) -> u32 {
-    let keys = _mm512_and_si512(_mm512_xor_si512(x, y), _mm512_set1_epi8(0x7F));
-    let eq: __mmask64 = _mm512_cmpeq_epi8_mask(keys, _mm512_setzero_si512());
-    let ind: __mmask64 = _mm512_movepi8_mask(_mm512_or_si512(x, y));
-    (eq & ind).count_ones()
-}
+/// Chunks a byte counter may absorb before it is folded: each absorbs
+/// at most 1 per lane, so 255 cannot wrap a `u8`.
+const FOLD_CHUNKS: usize = 255;
 
-/// Equal-width count over the 64-byte body, tail through the shared
-/// SWAR path.
+/// Per-lane mismatch flags of two 512-bit registers of 64 slots each:
+/// 0 in a lane that is a counted match, 1 in every other lane. One
+/// `vpternlogd` (immediate `0x61`, operands `0x7F`, `x`, `y`) leaves
+/// `x ⊕ y` in bits 0–6 and `¬(x ∨ y)` in bit 7, so a lane is zero
+/// exactly when the keys agree and an indicator bit is set; the
+/// unsigned minimum with `ones` (1 in every lane) turns every other
+/// lane into 1.
 ///
 /// # Safety
 /// The CPU must support AVX-512F and AVX-512BW.
+#[inline]
 #[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn avx512_count_equal_width(xs: &[u8], ys: &[u8]) -> u64 {
-    debug_assert_eq!(xs.len(), ys.len());
-    let body = xs.len() & !63;
-    let mut count = 0u64;
-    let mut base = 0;
-    while base < body {
-        let x = _mm512_loadu_si512(xs.as_ptr().add(base) as *const __m512i);
-        let y = _mm512_loadu_si512(ys.as_ptr().add(base) as *const __m512i);
-        count += hit_count_512(x, y) as u64;
-        base += 64;
+unsafe fn mismatch_512(x: __m512i, y: __m512i, ones: __m512i) -> __m512i {
+    let f = _mm512_ternarylogic_epi32::<0x61>(_mm512_set1_epi8(0x7F), x, y);
+    _mm512_min_epu8(f, ones)
+}
+
+/// `_mm512_set1_epi8(1)`, hidden from the optimizer. Told that the
+/// operand is 1, LLVM rewrites `min(f, 1)` as a compare into a mask
+/// register, a mask-to-vector move and a subtract: one more instruction
+/// per chunk and candidate. The empty `asm!` emits no instruction.
+///
+/// # Safety
+/// The CPU must support AVX-512F and AVX-512BW.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn opaque_ones() -> __m512i {
+    let mut ones = _mm512_set1_epi8(1);
+    // SAFETY: an empty template that reads and writes only its operand.
+    std::arch::asm!(
+        "/* {0} */",
+        inout(zmm_reg) ones,
+        options(pure, nomem, nostack, preserves_flags)
+    );
+    ones
+}
+
+/// One probe against `N` equal-width candidates, chunk-major: each
+/// 64-byte probe register is loaded once and compared against the same
+/// offset of every candidate. Mismatches accumulate in one ZMM byte
+/// counter per candidate, folded into 64-bit lanes by `vpsadbw` every
+/// [`FOLD_CHUNKS`] chunks; a count is `64·chunks − mismatches` plus the
+/// ragged tail through the shared SWAR path.
+///
+/// # Safety
+/// The CPU must support AVX-512F and AVX-512BW; every candidate must
+/// have the probe's length.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn avx512_count_block<const N: usize>(probe: &[u8], block: &[&[u8]], out: &mut [u64]) {
+    debug_assert!(block.len() == N && out.len() == N);
+    let chunks = probe.len() / 64;
+    let body = chunks * 64;
+    let cands: [*const u8; N] = std::array::from_fn(|j| block[j].as_ptr());
+    let zero = _mm512_setzero_si512();
+    let ones = opaque_ones();
+    let mut wide = [zero; N];
+    let mut chunk = 0;
+    while chunk < chunks {
+        let stop = (chunk + FOLD_CHUNKS).min(chunks);
+        let mut narrow = [zero; N];
+        while chunk < stop {
+            let at = chunk * 64;
+            let p = _mm512_loadu_si512(probe.as_ptr().add(at) as *const __m512i);
+            for j in 0..N {
+                let q = _mm512_loadu_si512(cands[j].add(at) as *const __m512i);
+                narrow[j] = _mm512_add_epi8(narrow[j], mismatch_512(p, q, ones));
+            }
+            chunk += 1;
+        }
+        for j in 0..N {
+            wide[j] = _mm512_add_epi64(wide[j], _mm512_sad_epu8(narrow[j], zero));
+        }
     }
-    count + swar::match_count_slices(&xs[body..], &ys[body..])
+    for j in 0..N {
+        let mismatches = _mm512_reduce_add_epi64(wide[j]) as u64;
+        out[j] =
+            body as u64 - mismatches + swar::match_count_slices(&probe[body..], &block[j][body..]);
+    }
 }
 
 /// The wrapped (§II folded) comparison, entirely inside one AVX-512
-/// region (see [`avx2_count_wrapped`]).
+/// region: each `|small|`-byte chunk of `large` is swept against
+/// `small` into one byte counter, folded every [`FOLD_CHUNKS`] chunks
+/// whichever part of `large` they came from, so the horizontal sum runs
+/// once per pair rather than once per part.
 ///
 /// # Safety
 /// The CPU must support AVX-512F and AVX-512BW.
 #[target_feature(enable = "avx512f,avx512bw")]
 unsafe fn avx512_count_wrapped(large: &[u8], small: &[u8]) -> u64 {
+    let chunks = small.len() / 64;
+    let body = chunks * 64;
+    let zero = _mm512_setzero_si512();
+    let ones = opaque_ones();
+    let (mut narrow, mut wide, mut pending) = (zero, zero, 0);
     let mut count = 0u64;
-    for chunk in large.chunks_exact(small.len()) {
-        count += avx512_count_equal_width(chunk, small);
+    for part in large.chunks_exact(small.len()) {
+        let mut chunk = 0;
+        while chunk < chunks {
+            let stop = (chunk + FOLD_CHUNKS - pending).min(chunks);
+            pending += stop - chunk;
+            while chunk < stop {
+                let at = chunk * 64;
+                let x = _mm512_loadu_si512(part.as_ptr().add(at) as *const __m512i);
+                let y = _mm512_loadu_si512(small.as_ptr().add(at) as *const __m512i);
+                narrow = _mm512_add_epi8(narrow, mismatch_512(x, y, ones));
+                chunk += 1;
+            }
+            if pending == FOLD_CHUNKS {
+                wide = _mm512_add_epi64(wide, _mm512_sad_epu8(narrow, zero));
+                (narrow, pending) = (zero, 0);
+            }
+        }
+        count += body as u64 + swar::match_count_slices(&part[body..], &small[body..]);
     }
-    count
+    wide = _mm512_add_epi64(wide, _mm512_sad_epu8(narrow, zero));
+    count - _mm512_reduce_add_epi64(wide) as u64
 }
 
-/// One probe against a block of equal-width candidates, chunk-major
-/// (see [`avx2_count_many`]).
+/// One probe against equal-width candidates, [`MANY_BLOCK`] at a time
+/// (see [`avx512_count_block`]); the remainder block runs at its own
+/// size, so every accumulator stays in a register.
 ///
 /// # Safety
 /// The CPU must support AVX-512F and AVX-512BW; every candidate must
@@ -311,19 +407,11 @@ unsafe fn avx512_count_many(probe: &[u8], candidates: &[&[u8]], out: &mut [u64])
         .chunks(MANY_BLOCK)
         .zip(out.chunks_mut(MANY_BLOCK))
     {
-        let mut acc = [0u64; MANY_BLOCK];
-        let body = probe.len() & !63;
-        let mut base = 0;
-        while base < body {
-            let p = _mm512_loadu_si512(probe.as_ptr().add(base) as *const __m512i);
-            for (j, c) in block.iter().enumerate() {
-                let q = _mm512_loadu_si512(c.as_ptr().add(base) as *const __m512i);
-                acc[j] += hit_count_512(p, q) as u64;
-            }
-            base += 64;
-        }
-        for (j, c) in block.iter().enumerate() {
-            out_block[j] = acc[j] + swar::match_count_slices(&probe[body..], &c[body..]);
+        match block.len() {
+            MANY_BLOCK => avx512_count_block::<MANY_BLOCK>(probe, block, out_block),
+            3 => avx512_count_block::<3>(probe, block, out_block),
+            2 => avx512_count_block::<2>(probe, block, out_block),
+            _ => avx512_count_block::<1>(probe, block, out_block),
         }
     }
 }
@@ -357,8 +445,10 @@ impl MatchKernel for Avx512Kernel {
     fn count_equal_width(&self, xs: &[u8], ys: &[u8]) -> u64 {
         assert_eq!(xs.len(), ys.len(), "batmap slices must have equal width");
         assert_avx512();
-        // SAFETY: AVX-512 support just asserted.
-        unsafe { avx512_count_equal_width(xs, ys) }
+        let mut out = [0u64];
+        // SAFETY: AVX-512 support just asserted; equal widths checked.
+        unsafe { avx512_count_block::<1>(xs, &[ys], &mut out) };
+        out[0]
     }
     fn count_wrapped(&self, large: &[u8], small: &[u8]) -> u64 {
         assert!(!small.is_empty());

@@ -6,8 +6,8 @@
 //! measurement engine behind Fig. 11.
 //!
 //! The CPU engine's one unit of work is a row band of a tile
-//! ([`run_band`]); [`run_tile_cpu`] sweeps a whole tile's full square
-//! as the GPU-parity reference. Both sweep every row through one
+//! ([`run_band`], swept in L2-sized column blocks); [`run_tile_cpu`]
+//! sweeps a whole tile's full square as the GPU-parity reference. Both sweep every row through one
 //! primitive, [`intersect::count_mixed_one_vs_many_into`], over typed
 //! arena views: a pure-batmap corpus and a hybrid one take the same
 //! code path, and the driver itself batches equal-width batmap
@@ -46,6 +46,12 @@ pub fn run_tile_cpu(pre: &Preprocessed, tile: &Tile) -> Vec<u64> {
     counts
 }
 
+/// Candidate payload one column block of a band may hold: 384 KiB, or
+/// 256 sets of 1,536 bytes. Every row of the band sweeps a block before
+/// the next block starts, so the block is read from L2 rather than from
+/// L3 once per row.
+const BLOCK_BYTES: usize = 384 << 10;
+
 /// Sweep one row band of a tile, sequentially, into `counts` (resized
 /// to the band's row-major `rows × cols`, so one buffer serves every
 /// band a worker runs).
@@ -55,30 +61,55 @@ pub fn run_tile_cpu(pre: &Preprocessed, tile: &Tile) -> Vec<u64> {
 /// and columns past `sets.len()` are padding, never swept. On a
 /// diagonal band only the cells with global column > global row are
 /// computed (the §III-C symmetry saving, applied *inside* the tile);
-/// the rest keep whatever the buffer held. The backend is dispatched
-/// once per row, and a batmap row's words stay hot in registers/L1
-/// while each equal-width candidate block is swept.
+/// the rest keep whatever the buffer held. The columns are swept in
+/// blocks of at most [`BLOCK_BYTES`] of payload (at least one column
+/// each), every row of the band in turn, so a block stays in L2 while
+/// the band's rows pass over it; a tile of small sets is one block. The
+/// backend is dispatched once per row and block.
 pub fn run_band(pre: &Preprocessed, sets: &[u32], band: &Tile, counts: &mut Vec<u64>) {
+    run_band_blocked(pre, sets, band, counts, BLOCK_BYTES);
+}
+
+/// [`run_band`] with the column-block budget as a parameter, so tests
+/// can force a band into many blocks.
+fn run_band_blocked(
+    pre: &Preprocessed,
+    sets: &[u32],
+    band: &Tile,
+    counts: &mut Vec<u64>,
+    block_bytes: usize,
+) {
     counts.resize(band.rows * band.cols, 0);
     let col_end = (band.col_base + band.cols).min(sets.len());
     let cols: Vec<_> = sets[band.col_base..col_end]
         .iter()
         .map(|&s| pre.payload(s as usize))
         .collect();
-    for (r, row_out) in counts.chunks_mut(band.cols).enumerate() {
-        let Some(&s) = sets.get(band.row_base + r) else {
-            break; // padding rows
-        };
-        let first = band.first_reported_col(r);
-        if first >= cols.len() {
-            continue; // the last row of a diagonal tile reports nothing
+    let rows: Vec<_> = sets[band.row_base.min(sets.len())..]
+        .iter()
+        .take(band.rows)
+        .map(|&s| pre.payload(s as usize))
+        .collect();
+    // Rows' first reported columns only grow down the band.
+    let mut start = band.first_reported_col(0);
+    while start < cols.len() {
+        let mut end = start + 1;
+        let mut bytes = cols[start].width_bytes();
+        while end < cols.len() && bytes + cols[end].width_bytes() <= block_bytes {
+            bytes += cols[end].width_bytes();
+            end += 1;
         }
-        let a = pre.payload(s as usize);
-        intersect::count_mixed_one_vs_many_into(
-            &a,
-            &cols[first..],
-            &mut row_out[first..cols.len()],
-        );
+        for (r, (a, row_out)) in rows.iter().zip(counts.chunks_mut(band.cols)).enumerate() {
+            let first = band.first_reported_col(r).max(start);
+            if first < end {
+                intersect::count_mixed_one_vs_many_into(
+                    a,
+                    &cols[first..end],
+                    &mut row_out[first..end],
+                );
+            }
+        }
+        start = end;
     }
 }
 
@@ -164,26 +195,40 @@ mod tests {
     }
 
     /// Sweep every tile of `pre` band by band, at several band
-    /// heights, through one reused buffer, and check each useful cell
-    /// (global column > global row on a diagonal tile) against the
-    /// full-square sweep and the element-wise [`oracle`].
+    /// heights and column-block budgets, through one reused buffer,
+    /// and check each useful cell (global column > global row on a
+    /// diagonal tile) against the full-square sweep and the
+    /// element-wise [`oracle`]. The budgets give one column per block,
+    /// blocks of about three columns (so a diagonal row's first
+    /// reported column falls inside a block, or past a whole block),
+    /// and the production budget (one block per band here).
     fn check_bands_against_full_square(pre: &Preprocessed) {
         let mut counts = Vec::new();
         let sets: Vec<u32> = (0..pre.padded_items() as u32).collect();
+        let widest = (0..pre.padded_items())
+            .map(|s| pre.payload(s).width_bytes())
+            .max()
+            .unwrap();
         for tile in schedule(pre.padded_items(), 16) {
             let full = run_tile_cpu(pre, &tile);
-            for height in [1usize, 5, 16] {
-                for band in tile.bands(height) {
-                    run_band(pre, &sets, &band, &mut counts);
-                    assert_eq!(counts.len(), band.rows * band.cols);
-                    for r in 0..band.rows {
-                        let gi = band.row_base + r;
-                        for c in 0..band.cols {
-                            let gj = band.col_base + c;
-                            let f = full[(gi - tile.row_base) * tile.cols + c];
-                            assert_eq!(f, oracle(pre, gi, gj), "full cell ({gi},{gj})");
-                            if !band.is_diagonal() || gj > gi {
-                                assert_eq!(counts[r * band.cols + c], f, "band cell ({gi},{gj})");
+            for budget in [0, 3 * widest, BLOCK_BYTES] {
+                for height in [1usize, 5, 16] {
+                    for band in tile.bands(height) {
+                        run_band_blocked(pre, &sets, &band, &mut counts, budget);
+                        assert_eq!(counts.len(), band.rows * band.cols);
+                        for r in 0..band.rows {
+                            let gi = band.row_base + r;
+                            for c in 0..band.cols {
+                                let gj = band.col_base + c;
+                                let f = full[(gi - tile.row_base) * tile.cols + c];
+                                assert_eq!(f, oracle(pre, gi, gj), "full cell ({gi},{gj})");
+                                if !band.is_diagonal() || gj > gi {
+                                    assert_eq!(
+                                        counts[r * band.cols + c],
+                                        f,
+                                        "band cell ({gi},{gj}), budget {budget}"
+                                    );
+                                }
                             }
                         }
                     }
@@ -229,7 +274,7 @@ mod tests {
     #[test]
     fn hybrid_tile_runners_agree_and_match_oracle() {
         use crate::preprocess::preprocess_with;
-        use batmap::{EngineOptions, ReprPolicy, SetView};
+        use batmap::{EngineOptions, ReprPolicy, SetRepr, SetView};
         // Skewed density so the hybrid policy genuinely mixes layouts.
         let db = TransactionDb::new(
             12,
@@ -247,10 +292,18 @@ mod tests {
         );
         let v = VerticalDb::from_horizontal(&db);
         let pre = preprocess_with(&v, 5, 128, EngineOptions::auto().repr(ReprPolicy::Hybrid));
-        assert!(
-            (0..pre.arena.len()).any(|i| !matches!(pre.payload(i), SetView::Batmap(_))),
-            "fixture must be hybrid"
-        );
+        // Tidlist and bitmap rows must meet batmap columns: sets are
+        // width-sorted, so a sparse set before a batmap is such a pair.
+        let first_batmap = (0..pre.n_items as usize)
+            .find(|&i| matches!(pre.payload(i), SetView::Batmap(_)))
+            .expect("fixture must hold batmaps");
+        for repr in [SetRepr::Tidlist, SetRepr::Bitmap] {
+            assert!(
+                (0..first_batmap).any(|i| pre.payload(i).repr() == repr),
+                "fixture must hold a {} row left of a batmap",
+                repr.name()
+            );
+        }
         check_bands_against_full_square(&pre);
     }
 }

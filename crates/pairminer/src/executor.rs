@@ -28,11 +28,12 @@
 //! meaningful counts, and cells in a padding row or column (plan index
 //! at or past `TilePlan::sets().len()`) are unspecified too.
 //!
-//! The CPU band runner (`pairminer::cpu::run_band`) feeds each row
+//! The CPU band runner (`pairminer::cpu::run_band`) cuts the band's
+//! columns into L2-sized blocks and feeds each row, block by block,
 //! through the one-vs-many row driver
 //! (`batmap::intersect::count_mixed_one_vs_many_into`): the match-count
-//! backend is dispatched once per row, a batmap row stays hot in
-//! registers/L1 across the column block, and equal-width batmap columns
+//! backend is dispatched once per row and block, a batmap row stays hot
+//! in registers/L1 across the column block, and equal-width batmap columns
 //! (common — preprocessing sorts sets by width) take the kernels'
 //! register-blocked sweep. All operands are zero-copy typed `SetView`s
 //! (batmap / bitmap / tidlist) into the preprocessed corpus's

@@ -952,4 +952,64 @@ mod tests {
             Err(SnapshotError::Format(_))
         ));
     }
+
+    /// FNV-1a over every set's payload bytes in sorted order, then
+    /// over the failure index.
+    fn build_checksum(pre: &Preprocessed) -> u64 {
+        let failed = pre
+            .failed
+            .iter()
+            .flat_map(|&(s, t)| s.to_le_bytes().into_iter().chain(t.to_le_bytes()));
+        (0..pre.padded_items())
+            .flat_map(|s| pre.batmap(s).as_bytes().iter().copied())
+            .chain(failed)
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn build_output_is_pinned() {
+        // A fixed instance whose sets sit at `range_for`'s highest load
+        // (n = ⌊2r/3⌋) and below it, built at the default MaxLoop and at
+        // MaxLoop 2 (recovery on most sets). The arena bytes, the
+        // failure index and the move counts must not change when the
+        // builder's internals do: the cuckoo insertion order is part of
+        // the corpus format.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let m = 60_000u32;
+        let sizes = [341usize, 682, 1365, 300, 1000, 2730, 5, 90, 4000, 682];
+        let tidlists: Vec<Vec<u32>> = sizes
+            .iter()
+            .map(|&n| {
+                let mut t: Vec<u32> = (0..n)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        (state % m as u64) as u32
+                    })
+                    .collect();
+                t.sort_unstable();
+                t.dedup();
+                t
+            })
+            .collect();
+        let v = VerticalDb::new(m, tidlists);
+        let all_batmap = EngineOptions::auto().repr(ReprPolicy::Batmap);
+        for (max_loop, checksum, moves, failures) in [
+            (128u32, 0x39ca_70da_a209_edf0u64, 90_433u64, 49u64),
+            (2, 0xcdad_dc61_225a_7ba5, 45_194, 587),
+        ] {
+            for threads in [Parallelism::Serial, Parallelism::threads(2)] {
+                let pre = preprocess_with(&v, 0xB17, max_loop, all_batmap.threads(threads));
+                assert_eq!(
+                    (build_checksum(&pre), pre.stats.moves, pre.stats.failures),
+                    (checksum, moves, failures),
+                    "max_loop {max_loop}"
+                );
+                assert_eq!(pre.failed.len() as u64, failures);
+            }
+        }
+    }
 }

@@ -174,6 +174,107 @@ proptest! {
     }
 }
 
+/// The AVX-512 kernel counts mismatches in byte counters folded every
+/// 255 chunks of 64 bytes. At widths around that fold, with a ragged
+/// tail and far past it, every backend must count all-match operands
+/// (equal keys, indicator bits set) as the full width, all-mismatch
+/// operands (equal keys, no indicator bit) as zero, and a mixed row
+/// as the scalar reference does, for 1–9 candidates so full and
+/// remainder accumulator blocks both run; the wrapped comparison
+/// likewise, its fold falling inside and across parts of the large
+/// operand.
+#[test]
+fn batched_counts_hold_across_the_counter_fold() {
+    const FOLD: usize = 255 * 64;
+    let widths = [
+        FOLD - 64,
+        FOLD,
+        FOLD + 64,
+        FOLD - 64 + 37,
+        FOLD + 37,
+        FOLD + 64 + 37,
+        40_000,
+        40_000 + 21,
+    ];
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for width in widths {
+        let matching: Vec<u8> = (0..width).map(|i| 0x80 | (i % 0x7F) as u8).collect();
+        let silent: Vec<u8> = matching.iter().map(|b| b & 0x7F).collect();
+        let noise: Vec<Vec<u8>> = (0..9)
+            .map(|_| (0..width).map(|_| next() as u8).collect())
+            .collect();
+        for n in 1..=9 {
+            for backend in available_backends() {
+                let kernel = backend.kernel();
+                let mut out = vec![u64::MAX; n];
+                let all: Vec<&[u8]> = vec![&matching[..]; n];
+                kernel.count_equal_width_many(&matching, &all, &mut out);
+                assert_eq!(
+                    out,
+                    vec![width as u64; n],
+                    "{backend} all-match, width {width}, n {n}"
+                );
+                let none: Vec<&[u8]> = vec![&silent[..]; n];
+                kernel.count_equal_width_many(&silent, &none, &mut out);
+                assert_eq!(
+                    out,
+                    vec![0; n],
+                    "{backend} all-mismatch, width {width}, n {n}"
+                );
+                let mixed: Vec<&[u8]> = (0..n)
+                    .map(|j| match j % 3 {
+                        0 => &matching[..],
+                        1 => &silent[..],
+                        _ => &noise[j][..],
+                    })
+                    .collect();
+                let mut expect = vec![0u64; n];
+                ScalarKernel.count_equal_width_many(&matching, &mixed, &mut expect);
+                kernel.count_equal_width_many(&matching, &mixed, &mut out);
+                assert_eq!(out, expect, "{backend} mixed, width {width}, n {n}");
+            }
+        }
+        for backend in available_backends() {
+            let kernel = backend.kernel();
+            assert_eq!(kernel.count_equal_width(&matching, &matching), width as u64);
+            assert_eq!(kernel.count_equal_width(&silent, &silent), 0);
+            let doubled: Vec<u8> = matching.iter().chain(&matching).copied().collect();
+            assert_eq!(
+                kernel.count_wrapped(&doubled, &matching),
+                2 * width as u64,
+                "{backend} wrapped, width {width}"
+            );
+        }
+    }
+    // Wrapped rows whose small operand is a few chunks: the counter
+    // folds partway through a part of the large operand.
+    for small_width in [6 * 64, 6 * 64 + 13, 7 * 64, 64 + 1] {
+        let matching: Vec<u8> = (0..small_width).map(|i| 0x80 | (i % 0x7F) as u8).collect();
+        let silent: Vec<u8> = matching.iter().map(|b| b & 0x7F).collect();
+        let parts = 100;
+        let repeat = |s: &[u8]| s.repeat(parts);
+        for backend in available_backends() {
+            let kernel = backend.kernel();
+            assert_eq!(
+                kernel.count_wrapped(&repeat(&matching), &matching),
+                (parts * small_width) as u64,
+                "{backend} wrapped all-match, small {small_width}"
+            );
+            assert_eq!(
+                kernel.count_wrapped(&repeat(&silent), &silent),
+                0,
+                "{backend} wrapped all-mismatch, small {small_width}"
+            );
+        }
+    }
+}
+
 #[test]
 fn auto_resolution_under_forced_overrides() {
     let widest = KernelBackend::widest_available();
