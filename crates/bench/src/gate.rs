@@ -9,6 +9,11 @@
 //! claim — "this mechanism still beats what it replaced" — rather than
 //! an absolute floor that drifts with the host. Uniform slowdowns that
 //! hit both arms alike are `perfbench`'s job, not this gate's.
+//!
+//! Each verdict can carry the host's steal over the gate's rounds (the
+//! share of CPU time the hypervisor gave to other guests, from
+//! `/proc/stat`), so a miss on a busy shared host reads as such. Steal
+//! is reported only; it never changes a verdict.
 
 use hpcutil::stats::percentile_sorted;
 use std::fmt;
@@ -29,6 +34,9 @@ pub struct Verdict {
     pub n: usize,
     /// The least median that passes.
     pub bound: f64,
+    /// Host steal over the rounds, as a fraction of all CPU time
+    /// (`None` where the host does not report it).
+    pub steal: Option<f64>,
 }
 
 impl Verdict {
@@ -42,15 +50,62 @@ impl fmt::Display for Verdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}: {:.2}x (q1 {:.2}x, q3 {:.2}x, n {}) vs bound {:.2}x: {}",
+            "{}: {:.2}x (q1 {:.2}x, q3 {:.2}x, n {}, steal {}) vs bound {:.2}x: {}",
             self.name,
             self.median,
             self.q1,
             self.q3,
             self.n,
+            percent(self.steal),
             self.bound,
             if self.passed() { "pass" } else { "FAIL" }
         )
+    }
+}
+
+/// `12.3%`, or `n/a` for an unknown fraction.
+pub fn percent(fraction: Option<f64>) -> String {
+    fraction.map_or("n/a".to_string(), |x| format!("{:.1}%", 100.0 * x))
+}
+
+/// Cumulative CPU time of the whole host, in clock ticks: the `cpu`
+/// line of `/proc/stat`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CpuTimes {
+    /// Ticks stolen by the hypervisor for other guests.
+    pub steal: u64,
+    /// Ticks in every state (user, nice, system, idle, iowait, irq,
+    /// softirq, steal; guest time is already inside user and nice).
+    pub total: u64,
+}
+
+impl CpuTimes {
+    /// The host's counters now, or `None` off Linux or on a kernel that
+    /// reports no steal.
+    pub fn now() -> Option<Self> {
+        Self::parse(&std::fs::read_to_string("/proc/stat").ok()?)
+    }
+
+    /// Parse the aggregate `cpu` line of a `/proc/stat` text.
+    pub fn parse(stat: &str) -> Option<Self> {
+        let line = stat.lines().find(|l| l.starts_with("cpu "))?;
+        let ticks: Vec<u64> = line
+            .split_whitespace()
+            .skip(1)
+            .take(8)
+            .map(|t| t.parse().ok())
+            .collect::<Option<_>>()?;
+        (ticks.len() == 8).then(|| CpuTimes {
+            steal: ticks[7],
+            total: ticks.iter().sum(),
+        })
+    }
+
+    /// Steal from `self` to `later`, as a fraction of all CPU time in
+    /// between (`None` if no tick passed).
+    pub fn steal_until(self, later: CpuTimes) -> Option<f64> {
+        let total = later.total.checked_sub(self.total)?;
+        (total > 0).then(|| later.steal.saturating_sub(self.steal) as f64 / total as f64)
     }
 }
 
@@ -69,6 +124,7 @@ pub fn evaluate(name: &str, samples: &[f64], bound: f64) -> Verdict {
         q3: percentile_sorted(&sorted, 75.0),
         n: sorted.len(),
         bound,
+        steal: None,
     }
 }
 
@@ -103,6 +159,40 @@ mod tests {
         let v = evaluate("mine.parallel", &[1.6, 0.4, 1.7, 1.5, 1.8], 1.2);
         assert_eq!(v.median, 1.6);
         assert!(v.passed());
+    }
+
+    #[test]
+    fn steal_prints_next_to_the_quartiles() {
+        let mut v = evaluate("mine.parallel.2t", &[1.0, 1.1, 1.2], 1.15);
+        assert!(v.to_string().contains("n 3, steal n/a)"));
+        v.steal = Some(0.2345);
+        assert!(v.to_string().contains("n 3, steal 23.4%)"), "{v}");
+        assert!(!v.passed(), "steal never changes a verdict");
+    }
+
+    #[test]
+    fn steal_comes_from_the_cpu_line() {
+        let before = "cpu  100 0 50 800 10 0 5 35 7 0\ncpu0 1 2 3 4 5 6 7 8 0 0\n";
+        let after = "cpu  150 0 60 900 10 0 5 75 9 0\nintr 5\n";
+        let (a, b) = (
+            CpuTimes::parse(before).unwrap(),
+            CpuTimes::parse(after).unwrap(),
+        );
+        assert_eq!(
+            a,
+            CpuTimes {
+                steal: 35,
+                total: 1_000
+            }
+        );
+        assert_eq!(a.steal_until(b), Some(40.0 / 200.0));
+        assert_eq!(a.steal_until(a), None, "no tick passed");
+        assert_eq!(
+            CpuTimes::parse("cpu  1 2 3\n"),
+            None,
+            "steal column missing"
+        );
+        assert_eq!(CpuTimes::parse("intr 5\n"), None);
     }
 
     #[test]

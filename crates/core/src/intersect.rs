@@ -22,12 +22,20 @@
 //! [`MatchKernel::count_equal_width_many`]); candidates of other widths
 //! fall back to the monomorphized pairwise path within the same
 //! dispatch.
+//!
+//! Decoding a batmap's elements costs one Feistel inversion each, so
+//! the row paths decode as rarely as they can. A batmap probe is decoded
+//! once per row, on its first sparse candidate. A mining band's batmap
+//! columns are decoded once per band ([`BandColumns`]), the first time
+//! a bitmap row meets each one. A tidlist probe hoists its Feistel slot
+//! positions out of the row.
 
 use crate::arena::BatmapRef;
 use crate::batmap::AsSlots;
 use crate::kernel::{KernelBackend, KernelDispatch, MatchKernel};
 use crate::repr::{for_each_batmap_element, BitmapRef, SetView, TidlistRef};
 use crate::{slot, BatmapError, ParamsHandle, TABLES};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// `|a ∩ b|` using the backend configured on `a`'s universe parameters,
@@ -405,6 +413,71 @@ pub fn count_mixed_one_vs_many_into(one: &SetView<'_>, many: &[SetView<'_>], out
     }
 }
 
+/// The columns of one row band, swept one row after another: the band's
+/// typed views, plus each batmap column's stored elements, decoded the
+/// first time a bitmap row meets that column and kept until the band is
+/// dropped. A bitmap×batmap pair otherwise pays one Feistel inversion
+/// per stored batmap element ([`count_mixed`]) for every bitmap row
+/// of the band; here the band pays it once per column, and each bitmap
+/// row counts the cell as bit tests of the decoded elements. Every other
+/// row runs [`count_mixed_one_vs_many_into`] unchanged.
+///
+/// The scratch belongs to one sweep of one band: nothing is allocated
+/// until a bitmap row meets a batmap column.
+pub struct BandColumns<'a, 'v> {
+    cols: &'a [SetView<'v>],
+    /// Each column's range in `elems`, once decoded.
+    spans: Vec<Option<Range<usize>>>,
+    elems: Vec<u32>,
+}
+
+impl<'a, 'v> BandColumns<'a, 'v> {
+    /// The band's columns, none decoded yet.
+    pub fn new(cols: &'a [SetView<'v>]) -> Self {
+        Self {
+            cols,
+            spans: Vec::new(),
+            elems: Vec::new(),
+        }
+    }
+
+    /// `out[i] = |row ∩ cols[at.start + i]|`: one row of the band
+    /// against the columns `at`.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != at.len()` or any column comes from a
+    /// different universe than `row`.
+    pub fn count_row_into(&mut self, row: &SetView<'_>, at: Range<usize>, out: &mut [u64]) {
+        let SetView::Bitmap(bits) = row else {
+            return count_mixed_one_vs_many_into(row, &self.cols[at], out);
+        };
+        let many = &self.cols[at.clone()];
+        assert_eq!(out.len(), many.len(), "one output slot per candidate");
+        assert_same_universe(row.params(), many.iter().map(SetView::params));
+        let backend = row.params().kernel_backend();
+        for ((j, o), c) in at.zip(out.iter_mut()).zip(many) {
+            *o = match c {
+                SetView::Batmap(bm) => {
+                    if self.spans.is_empty() {
+                        self.spans = vec![None; self.cols.len()];
+                    }
+                    let elems = &mut self.elems;
+                    let span = self.spans[j].get_or_insert_with(|| {
+                        let start = elems.len();
+                        for_each_batmap_element(bm, |x| elems.push(x));
+                        start..elems.len()
+                    });
+                    elems[span.clone()]
+                        .iter()
+                        .filter(|&&x| bits.contains(x))
+                        .count() as u64
+                }
+                _ => count_mixed_pair(backend, row, c),
+            };
+        }
+    }
+}
+
 /// Membership count of precomputed slot probes — `(πₜ(x), key)` per
 /// table for each probed element — against one batmap: the positional
 /// part of [`AsSlots::contains`] with the Feistel applies hoisted out,
@@ -732,6 +805,37 @@ mod tests {
                     super::count_mixed(&probe, v),
                     "probe {probe_idx} vs {j}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn band_columns_match_pointwise() {
+        // Bitmap rows meet batmap columns, two of them side by side;
+        // every row sweeps several column ranges, so a decoded column
+        // is reused across rows and ranges.
+        let p = Arc::new(BatmapParams::new(8_000, 0xBEE5));
+        let reprs = [
+            SetRepr::Batmap,
+            SetRepr::Batmap,
+            SetRepr::Bitmap,
+            SetRepr::Tidlist,
+        ];
+        let mut builder = ArenaBuilder::new(p.clone());
+        for k in 0..12u32 {
+            let elems: Vec<u32> = (0..(20 + 400 * k)).map(|i| (i * (k + 5)) % 8_000).collect();
+            builder.push_elements(&elems, reprs[k as usize % 4]);
+        }
+        let arena = builder.finish();
+        let views = arena.payload_views(0..arena.len());
+        let mut band = super::BandColumns::new(&views);
+        for row in &views {
+            for at in [0..views.len(), 3..7, 7..views.len()] {
+                let mut out = vec![u64::MAX; at.len()];
+                band.count_row_into(row, at.clone(), &mut out);
+                for (o, c) in out.iter().zip(&views[at]) {
+                    assert_eq!(*o, super::count_mixed(row, c), "{} row", row.repr());
+                }
             }
         }
     }

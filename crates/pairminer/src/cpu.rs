@@ -7,11 +7,15 @@
 //!
 //! The CPU engine's one unit of work is a row band of a tile
 //! ([`run_band`], swept in L2-sized column blocks); [`run_tile_cpu`]
-//! sweeps a whole tile's full square as the GPU-parity reference. Both sweep every row through one
-//! primitive, [`intersect::count_mixed_one_vs_many_into`], over typed
-//! arena views: a pure-batmap corpus and a hybrid one take the same
-//! code path, and the driver itself batches equal-width batmap
-//! candidates.
+//! sweeps a whole tile's full square as the GPU-parity reference. Both
+//! count over typed arena views through the row primitives of
+//! [`batmap::intersect`], so a pure-batmap corpus and a hybrid one take
+//! the same code path. [`run_tile_cpu`] runs each row through
+//! [`intersect::count_mixed_one_vs_many_into`], which batches
+//! equal-width batmap candidates. [`run_band`] runs its rows through
+//! [`intersect::BandColumns`]: the same row driver, except that a
+//! bitmap row bit-tests each batmap column's elements, decoded once per
+//! band instead of once per bitmap row.
 
 use crate::preprocess::Preprocessed;
 use crate::schedule::Tile;
@@ -65,7 +69,10 @@ const BLOCK_BYTES: usize = 384 << 10;
 /// blocks of at most [`BLOCK_BYTES`] of payload (at least one column
 /// each), every row of the band in turn, so a block stays in L2 while
 /// the band's rows pass over it; a tile of small sets is one block. The
-/// backend is dispatched once per row and block.
+/// backend is dispatched once per row and block. The band's columns sit
+/// in one [`intersect::BandColumns`], so a batmap column is decoded at
+/// most once for all the bitmap rows of the band, and its decoded
+/// elements are freed with the band.
 pub fn run_band(pre: &Preprocessed, sets: &[u32], band: &Tile, counts: &mut Vec<u64>) {
     run_band_blocked(pre, sets, band, counts, BLOCK_BYTES);
 }
@@ -90,6 +97,7 @@ fn run_band_blocked(
         .take(band.rows)
         .map(|&s| pre.payload(s as usize))
         .collect();
+    let mut band_cols = intersect::BandColumns::new(&cols);
     // Rows' first reported columns only grow down the band.
     let mut start = band.first_reported_col(0);
     while start < cols.len() {
@@ -102,11 +110,7 @@ fn run_band_blocked(
         for (r, (a, row_out)) in rows.iter().zip(counts.chunks_mut(band.cols)).enumerate() {
             let first = band.first_reported_col(r).max(start);
             if first < end {
-                intersect::count_mixed_one_vs_many_into(
-                    a,
-                    &cols[first..end],
-                    &mut row_out[first..end],
-                );
+                band_cols.count_row_into(a, first..end, &mut row_out[first..end]);
             }
         }
         start = end;
@@ -194,40 +198,56 @@ mod tests {
         }
     }
 
-    /// Sweep every tile of `pre` band by band, at several band
+    /// Sweep every `k`-tile of `pre` band by band, at several band
     /// heights and column-block budgets, through one reused buffer,
     /// and check each useful cell (global column > global row on a
-    /// diagonal tile) against the full-square sweep and the
-    /// element-wise [`oracle`]. The budgets give one column per block,
-    /// blocks of about three columns (so a diagonal row's first
-    /// reported column falls inside a block, or past a whole block),
-    /// and the production budget (one block per band here).
-    fn check_bands_against_full_square(pre: &Preprocessed) {
+    /// diagonal tile) against the full-square sweep, itself checked
+    /// against the element-wise [`oracle`]. The budgets give one column
+    /// per block, blocks of about three columns (so a diagonal row's
+    /// first reported column falls inside a block, or past a whole
+    /// block), and the production budget (one block per band here).
+    /// The buffer is poisoned before each band, so a cell the band
+    /// must not report has to come back untouched.
+    fn check_bands_against_full_square(pre: &Preprocessed, k: usize) {
+        const POISON: u64 = u64::MAX;
         let mut counts = Vec::new();
         let sets: Vec<u32> = (0..pre.padded_items() as u32).collect();
         let widest = (0..pre.padded_items())
             .map(|s| pre.payload(s).width_bytes())
             .max()
             .unwrap();
-        for tile in schedule(pre.padded_items(), 16) {
+        for tile in schedule(pre.padded_items(), k) {
             let full = run_tile_cpu(pre, &tile);
+            for r in 0..tile.rows {
+                for c in 0..tile.cols {
+                    let (gi, gj) = (tile.row_base + r, tile.col_base + c);
+                    assert_eq!(
+                        full[r * tile.cols + c],
+                        oracle(pre, gi, gj),
+                        "full cell ({gi},{gj})"
+                    );
+                }
+            }
             for budget in [0, 3 * widest, BLOCK_BYTES] {
-                for height in [1usize, 5, 16] {
+                for height in [1usize, 5, 64] {
                     for band in tile.bands(height) {
+                        counts.clear();
+                        counts.resize(band.rows * band.cols, POISON);
                         run_band_blocked(pre, &sets, &band, &mut counts, budget);
                         assert_eq!(counts.len(), band.rows * band.cols);
                         for r in 0..band.rows {
                             let gi = band.row_base + r;
                             for c in 0..band.cols {
                                 let gj = band.col_base + c;
-                                let f = full[(gi - tile.row_base) * tile.cols + c];
-                                assert_eq!(f, oracle(pre, gi, gj), "full cell ({gi},{gj})");
+                                let cell = counts[r * band.cols + c];
                                 if !band.is_diagonal() || gj > gi {
                                     assert_eq!(
-                                        counts[r * band.cols + c],
-                                        f,
-                                        "band cell ({gi},{gj}), budget {budget}"
+                                        cell,
+                                        full[(gi - tile.row_base) * tile.cols + c],
+                                        "band cell ({gi},{gj}), budget {budget}, height {height}"
                                     );
+                                } else {
+                                    assert_eq!(cell, POISON, "unreported cell ({gi},{gj}) written");
                                 }
                             }
                         }
@@ -262,7 +282,7 @@ mod tests {
         );
         let v = VerticalDb::from_horizontal(&db);
         let pre = preprocess(&v, 5, 128);
-        check_bands_against_full_square(&pre);
+        check_bands_against_full_square(&pre, 16);
     }
 
     #[test]
@@ -304,6 +324,72 @@ mod tests {
                 repr.name()
             );
         }
-        check_bands_against_full_square(&pre);
+        check_bands_against_full_square(&pre, 16);
+    }
+
+    /// A seeded hybrid corpus of `items` items over `m` transactions:
+    /// each item draws a density from dense (a bitmap) through middling
+    /// (a batmap) to sparse (a tidlist), so the hybrid policy mixes all
+    /// three.
+    fn random_hybrid_db(seed: u64, items: u32, m: usize) -> TransactionDb {
+        const DENSITIES: [f64; 6] = [0.3, 0.08, 0.045, 0.025, 0.02, 0.008];
+        let mut state = seed;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as f64 / u64::MAX as f64
+        };
+        let density: Vec<f64> = (0..items)
+            .map(|_| DENSITIES[(next() * DENSITIES.len() as f64) as usize % DENSITIES.len()])
+            .collect();
+        let txns = (0..m)
+            .map(|_| {
+                (0..items)
+                    .filter(|&i| next() < density[i as usize])
+                    .collect()
+            })
+            .collect();
+        TransactionDb::new(items, txns)
+    }
+
+    #[test]
+    fn bitmap_rows_meet_batmap_columns_exactly() {
+        use crate::preprocess::preprocess_with;
+        use batmap::{EngineOptions, ReprPolicy, SetRepr};
+        for seed in 0..3u64 {
+            let db = random_hybrid_db(seed, 40 + 10 * seed as u32, 900);
+            let v = VerticalDb::from_horizontal(&db);
+            for max_loop in [1, 128] {
+                let pre = preprocess_with(
+                    &v,
+                    seed,
+                    max_loop,
+                    EngineOptions::auto().repr(ReprPolicy::Hybrid),
+                );
+                // Some 64-row band must hold a bitmap row left of a
+                // batmap column it reports: sets are width-sorted, and
+                // at m = 900 a bitmap (120 B) is narrower than any
+                // batmap (≥ 192 B).
+                let repr = |s: usize| pre.payload(s).repr();
+                assert!(
+                    schedule(pre.padded_items(), 64).iter().any(|tile| {
+                        (0..tile.rows).any(|r| {
+                            let gi = tile.row_base + r;
+                            repr(gi) == SetRepr::Bitmap
+                                && (tile.first_reported_col(r)..tile.cols)
+                                    .any(|c| repr(tile.col_base + c) == SetRepr::Batmap)
+                        })
+                    }),
+                    "seed {seed}: no band meets a bitmap row with a batmap column"
+                );
+                if max_loop == 1 {
+                    assert!(!pre.failed.is_empty(), "MaxLoop 1 must force failures");
+                }
+                check_bands_against_full_square(&pre, 64);
+            }
+        }
     }
 }

@@ -30,12 +30,14 @@
 //!
 //! The CPU band runner (`pairminer::cpu::run_band`) cuts the band's
 //! columns into L2-sized blocks and feeds each row, block by block,
-//! through the one-vs-many row driver
+//! through the band's column set (`batmap::intersect::BandColumns`),
+//! whose rows run the one-vs-many row driver
 //! (`batmap::intersect::count_mixed_one_vs_many_into`): the match-count
 //! backend is dispatched once per row and block, a batmap row stays hot
 //! in registers/L1 across the column block, and equal-width batmap columns
 //! (common — preprocessing sorts sets by width) take the kernels'
-//! register-blocked sweep. All operands are zero-copy typed `SetView`s
+//! register-blocked sweep. A bitmap row instead bit-tests each batmap
+//! column's elements, decoded once per band and freed with it. All operands are zero-copy typed `SetView`s
 //! (batmap / bitmap / tidlist) into the preprocessed corpus's
 //! contiguous `BatmapArena`, whether the corpus is pure batmap or
 //! hybrid (width-sorted sets sit width-adjacent in one buffer, so a

@@ -28,6 +28,39 @@ fn arb_db() -> impl Strategy<Value = TransactionDb> {
     })
 }
 
+/// 450–1,200 transactions over up to 40 items, each item at a density
+/// drawn from bitmap-dense (≥ 1/32) through batmap-middling to
+/// tidlist-sparse. Above ≈ 420 transactions the hybrid policy stores
+/// middling items as batmaps, and a bitmap (⌈m/64⌉·8 ≤ 152 bytes here)
+/// sorts before every batmap (≥ 192 bytes), so bitmap rows meet batmap
+/// columns.
+fn arb_mixed_db() -> impl Strategy<Value = TransactionDb> {
+    const PER_MILLE: [u32; 5] = [250, 60, 25, 18, 6];
+    (
+        450usize..1_200,
+        vec(0..PER_MILLE.len(), 4..40),
+        any::<u64>(),
+    )
+        .prop_map(|(m, classes, seed)| {
+            let n = classes.len() as u32;
+            let txns = (0..m as u64)
+                .map(|t| {
+                    (0..n)
+                        .filter(|&i| {
+                            // A fixed hash of (seed, t, i), uniform in 0..1000.
+                            let h = (seed ^ (t << 20) ^ i as u64)
+                                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                                .rotate_left(29)
+                                .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                            ((h >> 32) % 1000) < PER_MILLE[classes[i as usize]] as u64
+                        })
+                        .collect()
+                })
+                .collect();
+            TransactionDb::new(n, txns)
+        })
+}
+
 /// One of the backends this CPU can actually run.
 fn arb_backend() -> impl Strategy<Value = KernelBackend> {
     let available: Vec<KernelBackend> = batmap::available_backends().collect();
@@ -72,6 +105,30 @@ proptest! {
             let report = mine(&db, &config(repr));
             prop_assert_eq!(&report.pairs, &baseline.pairs, "repr {}", repr);
         }
+    }
+
+    /// A hybrid corpus whose bitmap rows meet batmap columns in the
+    /// same band mines exactly the brute-force pairs, with cuckoo
+    /// failures forced (MaxLoop 1), in one tile or many, on 1–3
+    /// threads.
+    #[test]
+    fn hybrid_bitmap_rows_with_failures_mine_brute_force_pairs(
+        db in arb_mixed_db(),
+        wide in any::<bool>(),
+        threads in 1usize..4,
+        seed in 0u64..100,
+    ) {
+        let config = MinerConfig {
+            engine: Engine::Cpu,
+            options: EngineOptions::auto()
+                .threads(Parallelism::threads(threads))
+                .repr(ReprPolicy::Hybrid),
+            seed,
+            k: if wide { 2048 } else { 16 },
+            max_loop: 1,
+            ..Default::default()
+        };
+        prop_assert_eq!(mine(&db, &config).pairs, brute_force_pairs(&db, 1));
     }
 
     /// The levelwise engine over a hybrid pair corpus reports the same
