@@ -1,8 +1,11 @@
 //! Levelwise k-itemset mining: one depth sweep (d = 3, 4, 5) of the
 //! prefix-fold engine vs the horizontal-scan Apriori oracle. The engine
 //! is seeded from precomputed frequent pairs, so its measured work is
-//! candidate generation + support counting for levels ≥ 3; the oracle
-//! runs whole, its pair count included.
+//! the vertical conversion and item rows plus candidate generation and
+//! support counting for levels ≥ 3. Every item of this corpus has more
+//! tids than its row has words, so prefixes fold by AND and extensions
+//! count by AND + popcount. The oracle runs whole, its pair count
+//! included.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::uniform::{generate, UniformSpec};

@@ -28,8 +28,8 @@
 //! [`MultiwayBatmap::intersect_count`] is the paper-shaped dense sweep
 //! over every position, the GPU's data-independent loop. This module is
 //! the §V reproduction only: the levelwise miner
-//! (`pairminer::levelwise`) counts levels ≥ 3 over exact tidlists
-//! (ARCHITECTURE.md, "Deviations from the paper", item 5).
+//! (`pairminer::levelwise`) counts levels ≥ 3 over exact bitmap rows
+//! and tidlists (ARCHITECTURE.md, "Deviations from the paper", item 5).
 
 use crate::batmap::AsSlots;
 use crate::hash::Permutation;

@@ -179,6 +179,16 @@ impl HarvestConsumer<'_> {
 /// Mine all frequent pairs of `db`: preprocess into an arena-backed
 /// corpus, then run the tile pipeline over it.
 pub fn mine(db: &TransactionDb, config: &MinerConfig) -> MiningReport {
+    mine_keeping_vertical(db, config).0
+}
+
+/// [`mine`], also returning the vertical database it converted `db`
+/// into, so a caller that needs the tidlists next (the levelwise
+/// engine) does not convert `db` a second time.
+pub(crate) fn mine_keeping_vertical(
+    db: &TransactionDb,
+    config: &MinerConfig,
+) -> (MiningReport, VerticalDb) {
     let mut sw = Stopwatch::start();
     let vertical = VerticalDb::from_horizontal(db);
     let repr = match &config.engine {
@@ -206,7 +216,8 @@ pub fn mine(db: &TransactionDb, config: &MinerConfig) -> MiningReport {
         config.options.repr(repr),
     );
     let preprocess_s = sw.lap().as_secs_f64();
-    mine_over(db, &pre, vertical.heap_bytes(), preprocess_s, config)
+    let report = mine_over(db, &pre, vertical.heap_bytes(), preprocess_s, config);
+    (report, vertical)
 }
 
 /// Mine with an **already-built** corpus — e.g. one loaded from a

@@ -4,8 +4,8 @@
 //! Generates a random transaction database, mines all frequent
 //! itemsets up to size 4 with the `LevelwiseMiner` (level 2 from the
 //! tiled pair pipeline, levels 3..4 by a prefix-class join and one
-//! tidlist fold per prefix group), prints the per-level accounting, and
-//! cross-checks the result against the Apriori oracle.
+//! fold of exact bitmap rows per prefix group), prints the per-level
+//! accounting, and cross-checks the result against the Apriori oracle.
 //!
 //! Run with: `cargo run --release --example levelwise_mining`
 

@@ -5,7 +5,9 @@
 
 use fim::apriori::{self, Itemset};
 use fim::{fpgrowth, TransactionDb};
-use pairminer::{mine, Engine, LevelwiseConfig, LevelwiseMiner, MinerConfig, Parallelism};
+use pairminer::{
+    mine, Engine, LevelwiseConfig, LevelwiseMiner, MinerConfig, Parallelism, ReprPolicy,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -14,6 +16,45 @@ fn arb_db() -> impl Strategy<Value = TransactionDb> {
     // frequent itemsets beyond pairs to appear regularly.
     (3u32..16, 1usize..50).prop_flat_map(|(n, m)| {
         vec(vec(0u32..n, 0..(n as usize).min(10)), m).prop_map(move |ts| TransactionDb::new(n, ts))
+    })
+}
+
+/// Databases whose m is one below, at or one above a multiple of 64
+/// (two to four row words), with items on both sides of the ⌈m/64⌉-tid
+/// threshold of a bitmap row: a rare item has fewer tids, all drawn from
+/// the word-straddling transactions 0, 63, 64 and m − 1 so that rare
+/// items meet each other; a common item is in each transaction with
+/// probability 3/10 to 9/10.
+fn arb_straddling_db() -> impl Strategy<Value = TransactionDb> {
+    (2usize..5, 0usize..3, 4u32..10).prop_flat_map(|(w, side, n)| {
+        let m = 64 * w - 1 + side;
+        let row_words = m.div_ceil(64);
+        let item = (0u32..3, 1usize..16, 3u32..10, vec(0u32..10, m));
+        vec(item, n as usize).prop_map(move |items| {
+            let hot = [0, 63, 64, m - 1];
+            let tidlists: Vec<Vec<usize>> = items
+                .iter()
+                .map(|(kind, mask, density, draws)| {
+                    if *kind == 0 {
+                        (0..4)
+                            .filter(|b| mask >> b & 1 == 1)
+                            .map(|b| hot[b])
+                            .take(row_words - 1)
+                            .collect()
+                    } else {
+                        (0..m).filter(|&t| draws[t] < *density).collect()
+                    }
+                })
+                .collect();
+            let transactions = (0..m)
+                .map(|t| {
+                    (0..n)
+                        .filter(|&i| tidlists[i as usize].contains(&t))
+                        .collect()
+                })
+                .collect();
+            TransactionDb::new(n, transactions)
+        })
     })
 }
 
@@ -109,6 +150,30 @@ proptest! {
             .threads(Parallelism::threads(threads));
         let parallel = LevelwiseMiner::new(parallel_config).mine(&db);
         prop_assert_eq!(serial.itemsets, parallel.itemsets);
+    }
+
+    /// Prefixes that mix items with bitmap rows and items without
+    /// (supports on both sides of ⌈m/64⌉, m straddling a multiple of
+    /// 64) count exactly, at every depth, thread count and storage
+    /// policy of the pair stage.
+    #[test]
+    fn rows_and_tidlists_mix_exactly(
+        db in arb_straddling_db(),
+        minsup in 1u64..4,
+        depth in 3usize..6,
+        threads in 1usize..4,
+        hybrid in any::<bool>(),
+    ) {
+        let mut config = levelwise_config(depth, minsup);
+        let repr = if hybrid { ReprPolicy::Hybrid } else { ReprPolicy::Batmap };
+        config.pair.options = config
+            .pair
+            .options
+            .repr(repr)
+            .threads(Parallelism::threads(threads));
+        let report = LevelwiseMiner::new(config).mine(&db);
+        let expect = canonical(apriori::mine(&db, minsup, depth));
+        prop_assert_eq!(report.itemsets, expect);
     }
 
     /// Structural invariants of the report: one level per k, per-level
