@@ -1234,8 +1234,8 @@ impl ArenaBuilder {
     ///
     /// A [`SetRepr::Batmap`] set is built at `range_for(|S|)` and, if
     /// the cuckoo build fails to place an element, rebuilt at doubled
-    /// ranges until every element is placed (as a growth rebuild does),
-    /// so the pushed set is always complete.
+    /// ranges until every element is placed, so the pushed set is
+    /// always complete.
     ///
     /// # Panics
     /// Panics if an element is outside the universe.
@@ -1252,7 +1252,7 @@ impl ArenaBuilder {
         }
         if repr == SetRepr::Batmap {
             let range = self.params.range_for(sorted.len());
-            return self.push(&Batmap::build_placing_all(
+            return self.push(&crate::builder::build_placing_all(
                 self.params.clone(),
                 &sorted,
                 range,

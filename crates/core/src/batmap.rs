@@ -232,22 +232,6 @@ impl Batmap {
     pub fn bits_per_element(&self) -> f64 {
         (self.width_bytes() * 8) as f64 / self.len.max(1) as f64
     }
-
-    /// Mutable slot access for the in-place update path (`update.rs`).
-    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes
-    }
-
-    /// Adjust the stored cardinality (update path).
-    pub(crate) fn set_len(&mut self, len: usize) {
-        self.len = len;
-    }
-
-    /// Replace the whole representation (update path: growth rebuild).
-    pub(crate) fn replace_with(&mut self, other: Batmap) {
-        debug_assert_eq!(self.params.fingerprint(), other.params.fingerprint());
-        *self = other;
-    }
 }
 
 impl AsSlots for Batmap {

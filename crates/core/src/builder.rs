@@ -377,6 +377,34 @@ pub fn build_sorted_dedup(params: ParamsHandle, elements: &[u32]) -> BuildOutcom
     builder.finish()
 }
 
+/// Build `sorted` (ascending, duplicate-free) at range at least
+/// `min_range`, doubling the range until every element is placed: the
+/// result has no failed insertions to correct for.
+pub(crate) fn build_placing_all(
+    params: ParamsHandle,
+    sorted: &[u32],
+    mut min_range: u64,
+) -> Batmap {
+    loop {
+        let size_hint = sorted.len().max(growth_hint(min_range));
+        let mut builder = BatmapBuilder::with_capacity(params.clone(), size_hint);
+        let placed_all = sorted
+            .iter()
+            .all(|&e| builder.insert(e) != InsertOutcome::Failed);
+        if placed_all {
+            return builder.finish().batmap;
+        }
+        min_range *= 2;
+    }
+}
+
+/// A builder size hint whose `range_for` is exactly `range` (a power
+/// of two ≥ `r₀`): `range_for(s) = max(r₀, 2^⌈log₂ ⌈3s/2⌉⌉)`, and
+/// `⌈3·range/4⌉` lies in `(range/2, range]`.
+fn growth_hint(range: u64) -> usize {
+    (range / 2) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,6 +413,20 @@ mod tests {
 
     fn params(m: u64) -> ParamsHandle {
         Arc::new(BatmapParams::new(m, 0xBA7_0001))
+    }
+
+    #[test]
+    fn growth_hint_yields_the_requested_range() {
+        for m in [1_000u64, 50_000, 1 << 20] {
+            let p = params(m);
+            for range in (0..16).map(|e| p.r0() << e) {
+                assert_eq!(
+                    p.range_for(growth_hint(range)),
+                    range,
+                    "m={m} range={range}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,13 +9,13 @@
 //! optional delta per corpus position, allocated lazily so an untouched
 //! corpus costs one pointer per set.
 //!
-//! The add store starts as a sorted tidlist buffer and **promotes to an
-//! owned [`Batmap`]** (via [`Batmap::insert_mut`], the in-place cuckoo
-//! path of [`crate::update`]) once the set crosses the hybrid
-//! representation threshold — the same density economics
-//! [`ReprPolicy::Hybrid`] applies to the base corpus, applied to the
-//! mutable overlay. Once promoted a delta stays a batmap (demotion
-//! would churn on a workload oscillating around the threshold).
+//! Both halves of a delta are strictly ascending `Vec<u32>` tidlists.
+//! A delta is never swept — it is probed element by element and
+//! iterated by [`exact_pair_count`] — so the batmap layout's positional
+//! sweep buys it nothing, and a sorted buffer answers membership by
+//! binary search and iterates in place. A caller bounds a delta's size
+//! by compacting base and delta into a fresh corpus, which empties the
+//! region.
 //!
 //! ## Invariants
 //!
@@ -51,47 +51,21 @@
 //! side in O(1)-ish (batmap/bitmap probe or binary search), so the
 //! correction costs O(|failures| + |deltas|), not O(|sets|).
 
-use crate::repr::{ReprPolicy, SetRepr};
-use crate::{Batmap, ParamsHandle};
-
-/// The add store of one [`DeltaSet`]: a sorted tidlist while tiny, an
-/// owned mutable [`Batmap`] once the hybrid threshold says the batmap
-/// layout is the cheaper home.
-#[derive(Debug, Clone)]
-enum AddStore {
-    /// Strictly ascending element buffer.
-    Tidlist(Vec<u32>),
-    /// Promoted store, mutated in place via [`Batmap::insert_mut`] /
-    /// [`Batmap::remove_mut`].
-    Batmap(Box<Batmap>),
-}
-
 /// The mutable difference between one set's live contents and its
 /// immutable base payload. See the module docs for the invariants the
 /// caller maintains.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DeltaSet {
-    adds: AddStore,
+    /// Elements added since the snapshot, strictly ascending.
+    adds: Vec<u32>,
     /// Base elements removed since the snapshot, strictly ascending.
     removes: Vec<u32>,
-}
-
-impl Default for DeltaSet {
-    fn default() -> Self {
-        DeltaSet {
-            adds: AddStore::Tidlist(Vec::new()),
-            removes: Vec::new(),
-        }
-    }
 }
 
 impl DeltaSet {
     /// Number of added elements.
     pub fn adds_len(&self) -> usize {
-        match &self.adds {
-            AddStore::Tidlist(v) => v.len(),
-            AddStore::Batmap(b) => b.len(),
-        }
+        self.adds.len()
     }
 
     /// Number of removed base elements.
@@ -101,15 +75,12 @@ impl DeltaSet {
 
     /// True when this delta records no difference at all.
     pub fn is_noop(&self) -> bool {
-        self.adds_len() == 0 && self.removes.is_empty()
+        self.adds.is_empty() && self.removes.is_empty()
     }
 
     /// Is `x` among the added elements?
     pub fn adds_contain(&self, x: u32) -> bool {
-        match &self.adds {
-            AddStore::Tidlist(v) => v.binary_search(&x).is_ok(),
-            AddStore::Batmap(b) => b.contains(x),
-        }
+        self.adds.binary_search(&x).is_ok()
     }
 
     /// Is `x` among the removed base elements?
@@ -117,88 +88,33 @@ impl DeltaSet {
         self.removes.binary_search(&x).is_ok()
     }
 
-    /// The added elements, ascending (allocates; deltas are small).
-    pub fn adds_elements(&self) -> Vec<u32> {
-        match &self.adds {
-            AddStore::Tidlist(v) => v.clone(),
-            AddStore::Batmap(b) => {
-                let mut out = b.elements();
-                out.sort_unstable();
-                out
-            }
-        }
+    /// The added elements, ascending.
+    pub fn adds(&self) -> &[u32] {
+        &self.adds
     }
 
     /// The removed base elements, ascending.
     pub fn removes_elements(&self) -> &[u32] {
         &self.removes
     }
-
-    /// True when the delta's add store has been promoted to a batmap.
-    pub fn is_promoted(&self) -> bool {
-        matches!(self.adds, AddStore::Batmap(_))
-    }
-
-    /// Record `x` as added; returns whether it was new. Promotes the
-    /// tidlist buffer to an owned batmap when the grown set crosses the
-    /// hybrid threshold.
-    fn insert_add(&mut self, params: &ParamsHandle, x: u32) -> bool {
-        match &mut self.adds {
-            AddStore::Tidlist(v) => {
-                let Err(at) = v.binary_search(&x) else {
-                    return false;
-                };
-                v.insert(at, x);
-                if promote_to_batmap(params, v.len()) {
-                    let mut bm = Batmap::build_sorted(params.clone(), &[]).batmap;
-                    for &e in v.iter() {
-                        bm.insert_mut(e);
-                    }
-                    self.adds = AddStore::Batmap(Box::new(bm));
-                }
-                true
-            }
-            AddStore::Batmap(b) => b.insert_mut(x) != crate::UpdateOutcome::AlreadyPresent,
-        }
-    }
-
-    /// Un-record an added element; returns whether it was present.
-    fn remove_add(&mut self, x: u32) -> bool {
-        match &mut self.adds {
-            AddStore::Tidlist(v) => {
-                let Ok(at) = v.binary_search(&x) else {
-                    return false;
-                };
-                v.remove(at);
-                true
-            }
-            AddStore::Batmap(b) => b.remove_mut(x),
-        }
-    }
-
-    fn insert_remove(&mut self, x: u32) -> bool {
-        let Err(at) = self.removes.binary_search(&x) else {
-            return false;
-        };
-        self.removes.insert(at, x);
-        true
-    }
-
-    fn remove_remove(&mut self, x: u32) -> bool {
-        let Ok(at) = self.removes.binary_search(&x) else {
-            return false;
-        };
-        self.removes.remove(at);
-        true
-    }
 }
 
-/// Should an add store of `len` elements live as a batmap rather than a
-/// tidlist buffer? Mirrors the hybrid storage policy: promote exactly
-/// when [`ReprPolicy::Hybrid`] would no longer pick the tidlist layout.
-fn promote_to_batmap(params: &ParamsHandle, len: usize) -> bool {
-    let policy = ReprPolicy::Hybrid;
-    policy.choose(len, params.m(), params.range_for(len)) != SetRepr::Tidlist
+/// Insert `x` into the ascending `list`; returns whether it was new.
+fn insert_sorted(list: &mut Vec<u32>, x: u32) -> bool {
+    let Err(at) = list.binary_search(&x) else {
+        return false;
+    };
+    list.insert(at, x);
+    true
+}
+
+/// Remove `x` from the ascending `list`; returns whether it was present.
+fn remove_sorted(list: &mut Vec<u32>, x: u32) -> bool {
+    let Ok(at) = list.binary_search(&x) else {
+        return false;
+    };
+    list.remove(at);
+    true
 }
 
 /// One optional [`DeltaSet`] per corpus position, allocated on first
@@ -206,7 +122,6 @@ fn promote_to_batmap(params: &ParamsHandle, len: usize) -> bool {
 /// base corpus (the ingest layer uses sorted positions).
 #[derive(Debug, Clone)]
 pub struct DeltaRegion {
-    params: ParamsHandle,
     sets: Vec<Option<Box<DeltaSet>>>,
     /// Total `adds + removes` across all sets: the number of membership
     /// differences from the base snapshot.
@@ -214,10 +129,9 @@ pub struct DeltaRegion {
 }
 
 impl DeltaRegion {
-    /// An empty region over `n` positions of the given universe.
-    pub fn new(params: ParamsHandle, n: usize) -> Self {
+    /// An empty region over `n` positions.
+    pub fn new(n: usize) -> Self {
         DeltaRegion {
-            params,
             sets: vec![None; n],
             memberships: 0,
         }
@@ -265,9 +179,9 @@ impl DeltaRegion {
     pub fn apply_add(&mut self, s: usize, x: u32, in_base: bool) {
         let set = self.sets[s].get_or_insert_with(Default::default);
         let changed = if in_base {
-            set.remove_remove(x)
+            remove_sorted(&mut set.removes, x)
         } else {
-            set.insert_add(&self.params, x)
+            insert_sorted(&mut set.adds, x)
         };
         assert!(changed, "add of {x} at position {s} is not a change");
         if set.is_noop() {
@@ -289,11 +203,11 @@ impl DeltaRegion {
     /// [`DeltaRegion::apply_add`]).
     pub fn apply_remove(&mut self, s: usize, x: u32, in_base: bool) {
         let set = self.sets[s].get_or_insert_with(Default::default);
-        let (changed, grew) = if set.adds_contain(x) {
-            (set.remove_add(x), false)
+        let (changed, grew) = if remove_sorted(&mut set.adds, x) {
+            (true, false)
         } else {
             assert!(in_base, "remove of {x} at position {s} is not a change");
-            (set.insert_remove(x), true)
+            (insert_sorted(&mut set.removes, x), true)
         };
         assert!(changed, "remove of {x} at position {s} is not a change");
         if set.is_noop() {
@@ -371,11 +285,11 @@ where
         + hits(a.failed.iter().map(|f| f.1), |x| b.in_base(x))
         + hits(b.failed.iter().map(|f| f.1), &a.stored);
     if let Some(d) = b.delta {
-        total += hits(d.adds_elements().into_iter(), |x| a.in_base(x));
+        total += hits(d.adds().iter().copied(), |x| a.in_base(x));
         total -= hits(d.removes_elements().iter().copied(), |x| a.in_base(x));
     }
     if let Some(d) = a.delta {
-        total += hits(d.adds_elements().into_iter(), |x| b.in_live(x));
+        total += hits(d.adds().iter().copied(), |x| b.in_live(x));
         total -= hits(d.removes_elements().iter().copied(), |x| b.in_live(x));
     }
     debug_assert!(total >= 0, "pair correction went negative");
@@ -385,13 +299,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::BatmapParams;
     use std::collections::BTreeSet;
-    use std::sync::Arc;
-
-    fn params(m: u64) -> ParamsHandle {
-        Arc::new(BatmapParams::new(m, 0xDE17A))
-    }
 
     /// Model of one layered set: base and live contents as BTreeSets.
     struct Model {
@@ -423,8 +331,7 @@ mod tests {
 
     #[test]
     fn membership_and_counts_track_the_model() {
-        let p = params(10_000);
-        let mut region = DeltaRegion::new(p, 1);
+        let mut region = DeltaRegion::new(1);
         let base: Vec<u32> = (0..200).map(|i| i * 13).collect();
         let mut model = Model::new(&base);
         let mut state = 0x5EEDu64;
@@ -455,37 +362,80 @@ mod tests {
         assert_eq!(memberships, diff);
     }
 
+    /// Deltas far past the hybrid policy's 12-element tidlist threshold
+    /// stay one ascending buffer and keep every answer exact: 4,000 adds
+    /// and 2,000 removes at one position, a few hundred writes at a
+    /// second, over bases with failed insertions on both sides.
     #[test]
-    fn add_store_promotes_to_batmap_and_stays_exact() {
-        let p = params(100_000);
-        let mut region = DeltaRegion::new(p.clone(), 1);
-        let mut model = Model::new(&[]);
-        // Far past any tidlist threshold: the store must promote.
-        for x in (0..4000u32).map(|i| (i * 37) % 100_000) {
-            model.add(&mut region, 0, x);
+    fn large_deltas_stay_sorted_and_exact() {
+        const M: u32 = 100_000;
+        let mut region = DeltaRegion::new(2);
+        let base_a: Vec<u32> = (0..M).step_by(50).collect();
+        let base_b: Vec<u32> = (0..M).step_by(70).collect();
+        let mut ma = Model::new(&base_a);
+        let mut mb = Model::new(&base_b);
+        for x in (0..4000u32).map(|i| (i * 37) % M) {
+            ma.add(&mut region, 0, x);
         }
-        let delta = region.get(0).expect("delta exists");
-        assert!(delta.is_promoted(), "4000 adds must promote to a batmap");
-        assert_eq!(delta.adds_len(), model.live.len());
+        for x in (0..2000u32).map(|i| (i * 37) % M) {
+            ma.remove(&mut region, 0, x);
+        }
+        for i in 0..300u32 {
+            mb.add(&mut region, 1, (i * 53 + 11) % M);
+            mb.remove(&mut region, 1, base_b[i as usize * 3]);
+        }
+        for (s, model) in [(0, &ma), (1, &mb)] {
+            let delta = region.get(s).expect("delta exists");
+            let adds: Vec<u32> = model.live.difference(&model.base).copied().collect();
+            let removes: Vec<u32> = model.base.difference(&model.live).copied().collect();
+            assert!(
+                delta.adds_len() > 12,
+                "position {s} must carry a large delta"
+            );
+            assert!(delta.adds().windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(delta.adds(), adds, "position {s}");
+            assert_eq!(delta.removes_elements(), removes, "position {s}");
+            let count = model.base.len() as i64 + region.count_delta(s);
+            assert_eq!(count, model.live.len() as i64, "position {s}");
+            for x in 0..M {
+                let member = region
+                    .member_delta(s, x)
+                    .unwrap_or_else(|| model.base.contains(&x));
+                assert_eq!(member, model.live.contains(&x), "position {s}, element {x}");
+            }
+        }
+        // Every seventh base element failed insertion.
+        let split = |base: &[u32], set: u32| -> (BTreeSet<u32>, Vec<(u32, u32)>) {
+            let (failed, stored): (Vec<u32>, Vec<u32>) = base.iter().partition(|&&x| x % 7 == 0);
+            let failed = failed.into_iter().map(|x| (set, x)).collect();
+            (stored.into_iter().collect(), failed)
+        };
+        let (stored_a, failed_a) = split(&base_a, 0);
+        let (stored_b, failed_b) = split(&base_b, 1);
+        let side_a = PairSide {
+            stored: |x| stored_a.contains(&x),
+            failed: &failed_a,
+            delta: region.get(0),
+        };
+        let side_b = PairSide {
+            stored: |x| stored_b.contains(&x),
+            failed: &failed_b,
+            delta: region.get(1),
+        };
+        let raw = stored_a.intersection(&stored_b).count() as u64;
+        let expect = ma.live.intersection(&mb.live).count() as u64;
+        assert_eq!(exact_pair_count(raw, &side_a, &side_b), expect);
+        assert_eq!(exact_pair_count(raw, &side_b, &side_a), expect);
+        let self_raw = stored_a.len() as u64;
         assert_eq!(
-            delta.adds_elements(),
-            model.live.iter().copied().collect::<Vec<_>>()
+            exact_pair_count(self_raw, &side_a, &side_a),
+            ma.live.len() as u64
         );
-        // Mutations keep working through the promoted store.
-        for x in (0..2000u32).map(|i| (i * 37) % 100_000) {
-            model.remove(&mut region, 0, x);
-        }
-        let delta = region.get(0).expect("delta exists");
-        assert_eq!(delta.adds_len(), model.live.len());
-        for &x in &model.live {
-            assert!(delta.adds_contain(x));
-        }
     }
 
     #[test]
     fn noop_deltas_are_dropped() {
-        let p = params(1000);
-        let mut region = DeltaRegion::new(p, 2);
+        let mut region = DeltaRegion::new(2);
         region.apply_add(1, 42, false);
         assert!(!region.is_empty());
         region.apply_remove(1, 42, false);
@@ -502,7 +452,6 @@ mod tests {
     /// self-intersection, with no, some, or all base elements failed.
     #[test]
     fn layered_pair_count_matches_brute_force() {
-        let p = params(512);
         let mut state = 0xABCDu64;
         let mut next = move || {
             state ^= state << 13;
@@ -511,7 +460,7 @@ mod tests {
             state
         };
         for trial in 0..60 {
-            let mut region = DeltaRegion::new(p.clone(), 2);
+            let mut region = DeltaRegion::new(2);
             let base_a: Vec<u32> = (0..512).filter(|_| next() % 3 == 0).collect();
             let base_b: Vec<u32> = (0..512).filter(|_| next() % 3 == 0).collect();
             // Split each base into stored ⊎ failed; `failed` mimics one

@@ -62,7 +62,6 @@
 //!   internals and ablation material).
 //! * [`intersect`] — equal-width and folded intersection counting.
 //! * [`uncompressed`] — the abstract `3×r` reference structure.
-//! * [`update`] — in-place insert/remove with automatic growth.
 //! * [`delta`] — mutable delta sets layered over an immutable corpus
 //!   (the storage half of the live write path), and
 //!   [`exact_pair_count`], the one correction that turns a stored×stored
@@ -192,7 +191,6 @@ pub mod slot;
 pub mod space;
 pub mod swar;
 pub mod uncompressed;
-pub mod update;
 
 pub use arena::{
     ArenaBuilder, ArenaStage, BatmapArena, BatmapRef, SetSpec, SnapshotBytes, SnapshotLoad,
@@ -213,4 +211,3 @@ pub use parallel::Parallelism;
 pub use params::{BatmapParams, ParamsHandle, TABLES};
 pub use repr::{BitmapRef, ReprPolicy, SetRepr, SetView, TidlistRef, ALL_REPR_POLICIES};
 pub use uncompressed::UncompressedBatmap;
-pub use update::UpdateOutcome;

@@ -4,8 +4,8 @@
 //! front; the live write path and the sliding-window miner instead
 //! consume transactions **one at a time, in arrival order**. A
 //! [`StreamSpec`] describes such a stream — Zipf-skewed item picks
-//! (the same head-heavy regime as the WebDocs model, so delta sets hit
-//! both the tidlist and promoted-batmap branches), a target mean
+//! (the same head-heavy regime as the WebDocs model, so head items
+//! carry large deltas and tail items small ones), a target mean
 //! transaction length, and a mean inter-arrival gap — and generates a
 //! deterministic `Vec<TxnEvent>` given its seed.
 //!

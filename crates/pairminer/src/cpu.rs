@@ -66,7 +66,7 @@ const BLOCK_BYTES: usize = 384 << 10;
 /// diagonal band only the cells with global column > global row are
 /// computed (the §III-C symmetry saving, applied *inside* the tile);
 /// the rest keep whatever the buffer held. The columns are swept in
-/// blocks of at most [`BLOCK_BYTES`] of payload (at least one column
+/// blocks of at most `BLOCK_BYTES` of payload (at least one column
 /// each), every row of the band in turn, so a block stays in L2 while
 /// the band's rows pass over it; a tile of small sets is one block. The
 /// backend is dispatched once per row and block. The band's columns sit

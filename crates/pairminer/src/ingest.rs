@@ -7,9 +7,8 @@
 //! base [`Preprocessed`] arena untouched — so every SIMD sweep and
 //! mixed-representation kernel still runs over contiguous immutable
 //! bytes — and layers a [`batmap::DeltaRegion`] of small owned mutable
-//! sets on top (tidlist buffers promoting to [`batmap::Batmap`]s built
-//! by `insert_mut`, per the hybrid thresholds). Queries merge base and
-//! delta:
+//! sets on top (sorted add and remove tidlists per item). Queries merge
+//! base and delta:
 //!
 //! * counts — stored + failed + delta adds − delta removes;
 //! * membership — one delta probe, then the base (stored ∪ failed);
@@ -215,7 +214,7 @@ impl LayeredCorpus {
 
     fn assemble(pre: Preprocessed, txns: Vec<Vec<u32>>, seed: u64) -> Self {
         debug_assert_eq!(txns.len() as u64, pre.params.m());
-        let delta = DeltaRegion::new(pre.params.clone(), pre.n_items as usize);
+        let delta = DeltaRegion::new(pre.n_items as usize);
         LayeredCorpus {
             pre,
             delta,
@@ -485,7 +484,7 @@ impl LayeredCorpus {
         fault_point!("ingest.compact.swap", |m: String| Err(IngestError::Fault(
             m
         )));
-        self.delta = DeltaRegion::new(built.params.clone(), built.n_items as usize);
+        self.delta = DeltaRegion::new(built.n_items as usize);
         self.pre = built;
         self.version += 1;
         Ok(())
@@ -560,14 +559,17 @@ impl WindowedMiner {
 
     /// Append one transaction (strictly ascending item ids), expiring
     /// the oldest one first when the window is full. Returns the
-    /// transaction's sequence number.
+    /// transaction's sequence number. A failed expiry leaves the window
+    /// unchanged, so the push can be retried.
     pub fn push(&mut self, items: &[u32]) -> Result<u64, IngestError> {
         if self.live.len() == self.window {
             // Expire before inserting: with capacity ≥ window the freed
-            // slot is exactly the one `seq mod capacity` may reuse.
-            let oldest = self.live.pop_front().expect("window non-empty");
+            // slot is exactly the one `seq mod capacity` may reuse. The
+            // seq leaves the window only once its slot is cleared.
+            let oldest = *self.live.front().expect("window non-empty");
             self.corpus
                 .remove_txn((oldest % self.capacity as u64) as u32)?;
+            self.live.pop_front();
         }
         let seq = self.next_seq;
         self.corpus

@@ -342,7 +342,7 @@ fn table_buckets(n: usize) -> usize {
 /// TKDE 2002; Balkesen et al., ICDE 2013).
 ///
 /// A pair's bucket in the final table is `hash & (buckets − 1)`. Each
-/// list is partitioned by the top [`PARTITION_BITS`] of that bucket
+/// list is partitioned by the top `PARTITION_BITS` of that bucket
 /// index (one histogram pass, one scatter pass, the lists in parallel
 /// under `parallelism` as the tile executor applies it) and dropped
 /// once scattered. Only then is the map allocated, and the inserts run
@@ -351,7 +351,7 @@ fn table_buckets(n: usize) -> usize {
 /// distinct across all lists.
 ///
 /// The bucket count is std's rule for the final size
-/// ([`table_buckets`]); if std's table layout ever differs, the
+/// (`table_buckets`); if std's table layout ever differs, the
 /// partition order only loses its locality, never any content.
 pub fn build_pair_map(lists: Vec<Vec<PairEntry>>, parallelism: Parallelism) -> PairMap {
     const PARTS: usize = 1 << PARTITION_BITS;

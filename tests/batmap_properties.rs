@@ -261,38 +261,3 @@ proptest! {
         prop_assert_eq!(batmap::intersect_count_probe(&refs), expect.len() as u64);
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Dynamic updates converge to the same state as a fresh build:
-    /// after an arbitrary insert/remove script, membership, cardinality
-    /// and intersections match a set-theoretic model.
-    #[test]
-    fn dynamic_updates_match_model(
-        script in proptest::collection::vec((0u32..M as u32, proptest::bool::ANY), 1..400),
-        probe in arb_set(300),
-        seed in 0u64..200
-    ) {
-        let params = Arc::new(BatmapParams::new(M, seed));
-        let mut bm = Batmap::build(params.clone(), &[]).batmap;
-        let mut model = std::collections::BTreeSet::new();
-        for (x, is_insert) in script {
-            if is_insert {
-                bm.insert_mut(x);
-                model.insert(x);
-            } else {
-                bm.remove_mut(x);
-                model.remove(&x);
-            }
-        }
-        prop_assert_eq!(bm.len(), model.len());
-        let bp = Batmap::build_sorted(params, &probe).batmap;
-        prop_assume!(bp.len() == probe.len());
-        let expect = probe.iter().filter(|x| model.contains(x)).count() as u64;
-        prop_assert_eq!(bm.intersect_count(&bp), expect);
-        let mut decoded = bm.elements();
-        decoded.sort_unstable();
-        prop_assert_eq!(decoded, model.into_iter().collect::<Vec<_>>());
-    }
-}

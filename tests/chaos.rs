@@ -21,7 +21,10 @@ use batmap_server::{
     Client, EngineConfig, Probe, QueryEngine, Request, Response, RetryPolicy, Server,
 };
 use fim::{TransactionDb, VerticalDb};
-use pairminer::{preprocess_with, LayeredCorpus, Preprocessed};
+use pairminer::{
+    preprocess_with, Engine, IngestError, LayeredCorpus, LevelwiseConfig, LevelwiseMiner,
+    MinerConfig, Preprocessed, WindowedMiner,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -377,6 +380,65 @@ fn crashed_compaction_leaves_previous_snapshot_loadable() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A sliding window whose expiry faults keeps its window and its corpus
+/// in step: the failed push changes neither, no later push fails, and
+/// the window mines like a from-scratch mine of its last transactions.
+#[test]
+fn faulted_window_expiry_leaks_no_transaction() {
+    let _guard = guarded();
+    const WINDOW: usize = 3;
+    const CAPACITY: usize = 4;
+    let options = EngineOptions::auto().repr(ReprPolicy::Hybrid);
+    let mut miner = WindowedMiner::new(6, WINDOW, CAPACITY, 0x57EA, 128, options);
+    let items_for = |k: usize| -> Vec<u32> {
+        (0..6u32)
+            .filter(|&i| !(k as u32 + i).is_multiple_of(3))
+            .collect()
+    };
+    let mut accepted: Vec<Vec<u32>> = Vec::new();
+    let mut faulted = false;
+    for k in 0..2 * WINDOW + 2 {
+        if k == WINDOW {
+            // The window is full: this push must expire before it inserts.
+            batmap::fault::arm("ingest.apply", "error(chaos expiry)x1").unwrap();
+        }
+        let items = items_for(k);
+        match miner.push(&items) {
+            Ok(_) => accepted.push(items),
+            Err(e) => {
+                assert!(
+                    !faulted && matches!(e, IngestError::Fault(_)),
+                    "push {k} failed: {e}"
+                );
+                faulted = true;
+                batmap::fault::disarm_all();
+            }
+        }
+        assert_eq!(
+            miner.corpus().live_transactions(),
+            miner.len(),
+            "push {k}: window and corpus disagree"
+        );
+    }
+    assert!(faulted, "the armed expiry must fail one push");
+    assert_eq!(miner.len(), WINDOW);
+
+    let config = LevelwiseConfig {
+        depth: 3,
+        pair: MinerConfig {
+            engine: Engine::Cpu,
+            options,
+            ..MinerConfig::default()
+        },
+        ..LevelwiseConfig::default()
+    };
+    let report = miner.report(config.clone()).unwrap();
+    let mut txns = accepted[accepted.len() - WINDOW..].to_vec();
+    txns.resize(CAPACITY, Vec::new());
+    let scratch = LevelwiseMiner::new(config).mine(&TransactionDb::new(6, txns));
+    assert_eq!(report.itemsets, scratch.itemsets);
 }
 
 /// Concurrent retrying clients mixing writes and reads while the apply

@@ -460,14 +460,4 @@ fn old_width_corpus_loads_counts_exactly_and_never_shrinks_on_insert() {
         }
     }
     assert_exact(&live);
-
-    // An in-place insert into an old-width batmap never narrows it.
-    let s = live.pre().item_to_sorted[0] as usize;
-    let mut set = live.pre().batmap(s).to_batmap();
-    for tid in 3_000..3_200u32 {
-        let range = set.range();
-        set.insert_mut(tid);
-        assert!(set.range() >= range, "insert narrowed set {s}");
-        assert!(set.contains(tid));
-    }
 }
