@@ -17,12 +17,41 @@ pub struct VerticalDb {
 }
 
 impl VerticalDb {
-    /// Convert a horizontal database.
+    /// Convert a horizontal database: every item keeps its tidlist.
+    /// The same as [`VerticalDb::from_frequent`] at `minsup = 1`.
     pub fn from_horizontal(db: &TransactionDb) -> Self {
-        let mut tidlists = vec![Vec::new(); db.n_items() as usize];
+        Self::from_frequent(db, 1)
+    }
+
+    /// Convert a horizontal database, keeping the tidlists of the items
+    /// whose support reaches `minsup` only. Every other item gets an
+    /// empty tidlist: no itemset that holds it can be frequent (the
+    /// Apriori property), so a pair or level miner at this `minsup`
+    /// never needs its transactions. `m` and the item count are those
+    /// of `db` whatever `minsup` is, so item ids and the tid universe
+    /// stay the ones the database defines.
+    ///
+    /// One pass counts the supports, so each kept tidlist is allocated
+    /// once at its exact length; a second pass fills them. At
+    /// `minsup ≤ 1` every item is kept.
+    pub fn from_frequent(db: &TransactionDb, minsup: u64) -> Self {
+        let minsup = minsup.max(1);
+        let supports = db.item_supports();
+        let mut tidlists: Vec<Vec<u32>> = supports
+            .iter()
+            .map(|&s| {
+                if s >= minsup {
+                    Vec::with_capacity(s as usize)
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
         for (tid, t) in db.transactions().iter().enumerate() {
             for &item in t {
-                tidlists[item as usize].push(tid as u32);
+                if supports[item as usize] >= minsup {
+                    tidlists[item as usize].push(tid as u32);
+                }
             }
         }
         // tids were visited in ascending order, so lists are sorted.
@@ -114,6 +143,58 @@ mod tests {
         let db = TransactionDb::new(2, vec![vec![0]]);
         let v = VerticalDb::from_horizontal(&db);
         assert!(v.tidlist(1).is_empty());
+    }
+
+    /// The conversion of the old `from_horizontal`: one push per
+    /// occurrence into growing lists.
+    fn reference(db: &TransactionDb) -> Vec<Vec<u32>> {
+        let mut tidlists = vec![Vec::new(); db.n_items() as usize];
+        for (tid, t) in db.transactions().iter().enumerate() {
+            for &item in t {
+                tidlists[item as usize].push(tid as u32);
+            }
+        }
+        tidlists
+    }
+
+    fn skewed() -> TransactionDb {
+        // Item i occurs in every transaction whose tid is a multiple of
+        // i + 1, so supports fall from 24 (item 0) to 1 (item 23); item
+        // 24 never occurs.
+        let txns = (0..24u32)
+            .map(|tid| (0..24u32).filter(|i| tid % (i + 1) == 0).collect())
+            .collect();
+        TransactionDb::new(25, txns)
+    }
+
+    #[test]
+    fn from_frequent_keeps_exactly_the_items_at_minsup() {
+        let db = skewed();
+        let all = reference(&db);
+        assert_eq!(VerticalDb::from_horizontal(&db).tidlists(), &all[..]);
+        for minsup in [0, 1, 2, 3, 5, 8, 24, 25, 100] {
+            let v = VerticalDb::from_frequent(&db, minsup);
+            assert_eq!(v.m(), db.len() as u32, "minsup {minsup}");
+            assert_eq!(v.n_items(), db.n_items(), "minsup {minsup}");
+            for (item, full) in all.iter().enumerate() {
+                let kept = v.tidlist(item as u32);
+                if (full.len() as u64) >= minsup.max(1) {
+                    assert_eq!(kept, &full[..], "minsup {minsup}, item {item}");
+                    assert_eq!(
+                        v.tidlists()[item].capacity(),
+                        kept.len(),
+                        "minsup {minsup}, item {item}: allocated at its support"
+                    );
+                } else {
+                    assert!(kept.is_empty(), "minsup {minsup}, item {item}");
+                    assert_eq!(v.tidlists()[item].capacity(), 0);
+                }
+            }
+        }
+        assert_eq!(
+            VerticalDb::from_frequent(&db, 0),
+            VerticalDb::from_frequent(&db, 1)
+        );
     }
 
     #[test]

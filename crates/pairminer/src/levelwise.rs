@@ -14,7 +14,9 @@
 //!    ([`crate::miner::mine`]), or from caller-supplied frequent pairs,
 //!    so any pair engine can seed it. [`LevelwiseMiner::mine`] keeps the
 //!    tidlists the pair stage converted; the other entry points convert
-//!    the database once, on the first level with candidates.
+//!    the database once, on the first level with candidates. Either way
+//!    only the items whose support reaches `minsup` get their tidlists
+//!    ([`VerticalDb::from_frequent`]): every item of L₂ is one of them.
 //! 2. **Rows**, once per run: every item of L₂ with at least ⌈m/64⌉
 //!    tids gets an exact m-bit row ([`ItemRows`]), which therefore takes
 //!    at most twice its tidlist's bytes. Sparser items keep only their
@@ -193,7 +195,12 @@ impl LevelwiseMiner {
 
     /// Mine all frequent itemsets of size `2..=depth`: the tiled pair
     /// pipeline produces level 2, the prefix-fold levels follow over the
-    /// tidlists the pair stage already converted.
+    /// tidlists the pair stage already converted. That conversion keeps
+    /// only the items whose support reaches `minsup`, so the pair stage
+    /// builds a stored set for those alone and every other item is an
+    /// empty set of its corpus; the report equals
+    /// [`LevelwiseMiner::mine_from_pairs`] over the pairs of a corpus
+    /// built from every item (`tests/levelwise.rs` pins it).
     pub fn mine(&self, db: &TransactionDb) -> LevelwiseReport {
         let (pair_report, vertical) = mine_keeping_vertical(db, &self.config.pair);
         let mut report = self.mine_levels(db, &pair_report.pairs, Some(vertical));
@@ -275,7 +282,9 @@ impl LevelwiseMiner {
                 levels.push(level);
                 continue;
             }
-            let vertical = vertical.get_or_insert_with(|| VerticalDb::from_horizontal(db));
+            // Later levels read the tidlists of L₂ items only, and every
+            // one of them is frequent.
+            let vertical = vertical.get_or_insert_with(|| VerticalDb::from_frequent(db, minsup));
             // The first level with candidates is level 3: `current` is
             // L₂, whose items are every item a later level reaches.
             let rows = rows.get_or_insert_with(|| ItemRows::new(vertical, current.iter().copied()));

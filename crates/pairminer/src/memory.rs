@@ -9,7 +9,10 @@ use serde::Serialize;
 /// Byte footprint of each pipeline structure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct MemoryReport {
-    /// Vertical tidlists (preprocessing input).
+    /// Vertical tidlists (preprocessing input). `mine` converts only
+    /// the items whose support reaches `minsup`, each tidlist allocated
+    /// at its exact length, so this counts those alone; 0 under
+    /// `mine_preprocessed`, which converts nothing.
     pub tidlists_bytes: usize,
     /// All batmap slot arrays + order maps + failure list.
     pub preprocessed_bytes: usize,

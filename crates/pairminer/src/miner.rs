@@ -185,12 +185,19 @@ pub fn mine(db: &TransactionDb, config: &MinerConfig) -> MiningReport {
 /// [`mine`], also returning the vertical database it converted `db`
 /// into, so a caller that needs the tidlists next (the levelwise
 /// engine) does not convert `db` a second time.
+///
+/// The conversion keeps only the items whose support reaches
+/// `config.minsup` ([`VerticalDb::from_frequent`]); every other item is
+/// an empty set of the corpus, which costs nothing to build and is
+/// never planned. The planned sets keep their elements under the same
+/// universe, so their bytes, their failed insertions and the pairs are
+/// those of a corpus built from every item.
 pub(crate) fn mine_keeping_vertical(
     db: &TransactionDb,
     config: &MinerConfig,
 ) -> (MiningReport, VerticalDb) {
     let mut sw = Stopwatch::start();
-    let vertical = VerticalDb::from_horizontal(db);
+    let vertical = VerticalDb::from_frequent(db, config.minsup);
     let repr = match &config.engine {
         Engine::Cpu => config.options.repr,
         Engine::Gpu(_) => {

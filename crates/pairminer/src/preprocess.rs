@@ -411,12 +411,17 @@ pub fn preprocess_with(
     // so the width-sorted order (ties by item id, for determinism) and
     // the whole arena layout exist before any build work. With the
     // pure-batmap policy the width is `3·range_for(len)` — monotone in
-    // the range — so this order is exactly the legacy one.
-    let mut positions: Vec<u32> = (0..n).collect();
-    positions.sort_by_key(|&i| {
-        let spec = spec_for(v.tidlist(i).len());
-        (spec.width_bytes(&params), i)
-    });
+    // the range — so this order is exactly the legacy one. Each item's
+    // width is computed once; the `(width, id)` keys are unique, so an
+    // unstable sort gives that one order.
+    let item_specs: Vec<SetSpec> = v.tidlists().iter().map(|l| spec_for(l.len())).collect();
+    let mut keys: Vec<(usize, u32)> = item_specs
+        .iter()
+        .zip(0..n)
+        .map(|(spec, i)| (spec.width_bytes(&params), i))
+        .collect();
+    keys.sort_unstable();
+    let positions: Vec<u32> = keys.into_iter().map(|(_, i)| i).collect();
     let mut item_to_sorted = vec![0u32; n as usize];
     for (s, &item) in positions.iter().enumerate() {
         item_to_sorted[item as usize] = s as u32;
@@ -425,7 +430,7 @@ pub fn preprocess_with(
     let empty_spec = spec_for(0);
     let specs: Vec<SetSpec> = positions
         .iter()
-        .map(|&i| spec_for(v.tidlist(i).len()))
+        .map(|&i| item_specs[i as usize])
         .chain(std::iter::repeat_n(empty_spec, padded - n as usize))
         .collect();
     let mut stage = BatmapArena::with_layout(params.clone(), &specs);
@@ -434,7 +439,8 @@ pub fn preprocess_with(
     // build through one reusable scratch builder per worker; bitmap and
     // tidlist sets are direct encodes (every element always "places", so
     // they contribute no failures). Workers own contiguous runs of the
-    // width-sorted sets — bump segments of the final buffer.
+    // width-sorted sets — bump segments of the final buffer — cut to
+    // equal build cost ([`build_cost`]), not equal count.
     let tidlist_of = |s: usize| -> &[u32] {
         if s < n as usize {
             v.tidlist(positions[s])
@@ -442,71 +448,65 @@ pub fn preprocess_with(
             &[]
         }
     };
-    let build_segment = |jobs: Vec<(usize, &mut [u8])>| -> Vec<ArenaSetOutcome> {
+    // One segment's sets, starting at sorted position `first`, built
+    // into their windows `outs`.
+    let build_segment = |first: usize, outs: &mut [&mut [u8]]| -> Built {
         let mut builder = BatmapBuilder::with_capacity(params.clone(), 0);
-        jobs.into_iter()
-            .map(|(s, out)| {
-                let elements = tidlist_of(s);
-                match specs[s].repr {
-                    SetRepr::Batmap => {
-                        builder.reset(elements.len());
-                        builder.extend_sorted_dedup(elements);
-                        builder.finish_into(out)
-                    }
-                    SetRepr::Bitmap => {
-                        batmap::repr::encode_bitmap_into(elements, out);
-                        direct_outcome(elements.len())
-                    }
-                    SetRepr::Tidlist => {
-                        batmap::repr::encode_tidlist_into(elements, out);
-                        direct_outcome(elements.len())
-                    }
+        let mut built = Built::default();
+        for (s, out) in (first..).zip(outs.iter_mut()) {
+            let elements = tidlist_of(s);
+            let outcome = match specs[s].repr {
+                SetRepr::Batmap => {
+                    builder.reset(elements.len());
+                    builder.extend_sorted_dedup(elements);
+                    builder.finish_into(out)
                 }
-            })
-            .collect()
+                SetRepr::Bitmap => {
+                    batmap::repr::encode_bitmap_into(elements, out);
+                    direct_outcome(elements.len())
+                }
+                SetRepr::Tidlist => {
+                    batmap::repr::encode_tidlist_into(elements, out);
+                    direct_outcome(elements.len())
+                }
+            };
+            built.add(s, outcome);
+        }
+        built
     };
-    let outcomes: Vec<ArenaSetOutcome> = {
-        let jobs: Vec<(usize, &mut [u8])> = stage.set_slices().into_iter().enumerate().collect();
-        let parallel = |jobs: Vec<(usize, &mut [u8])>, workers: usize| -> Vec<ArenaSetOutcome> {
-            let per = jobs.len().div_ceil(workers.max(1)).max(1);
-            let mut segments: Vec<Vec<(usize, &mut [u8])>> = Vec::new();
-            let mut jobs = jobs;
-            while !jobs.is_empty() {
-                let tail = jobs.split_off(jobs.len().min(per));
-                segments.push(std::mem::replace(&mut jobs, tail));
+    let built = {
+        let mut outs = stage.set_slices();
+        let parallel = |outs: &mut [&mut [u8]], workers: usize| -> Built {
+            let costs: Vec<u64> = (0..specs.len())
+                .map(|s| build_cost(specs[s].repr, tidlist_of(s).len()))
+                .collect();
+            let mut segments: Vec<(usize, &mut [&mut [u8]])> = Vec::new();
+            let (mut rest, mut start) = (outs, 0);
+            for cut in equal_cost_cuts(&costs, workers) {
+                let (head, tail) = rest.split_at_mut(cut - start);
+                segments.push((start, head));
+                (rest, start) = (tail, cut);
             }
+            segments.push((start, rest));
             segments
                 .into_par_iter()
-                .map(&build_segment)
-                .collect::<Vec<Vec<ArenaSetOutcome>>>()
+                .map(|(first, outs)| build_segment(first, outs))
+                .collect::<Vec<Built>>()
                 .into_iter()
-                .flatten()
-                .collect()
+                .fold(Built::default(), Built::append)
         };
         match params.parallelism().pinned() {
             // Strictly sequential: one segment, no worker threads.
-            Some(1) => build_segment(jobs),
-            Some(workers) => hpcutil::scoped_pool(workers, || parallel(jobs, workers)),
+            Some(1) => build_segment(0, &mut outs),
+            Some(workers) => hpcutil::scoped_pool(workers, || parallel(&mut outs, workers)),
             None => {
                 let workers = rayon::current_num_threads();
-                parallel(jobs, workers)
+                parallel(&mut outs, workers)
             }
         }
     };
-    let lens: Vec<usize> = outcomes.iter().map(|o| o.len).collect();
-    let arena = stage.finish(&lens);
-
-    let mut stats = batmap::InsertStats::default();
-    let mut failed = Vec::new();
-    for (s, out) in outcomes.into_iter().enumerate() {
-        stats.elements += out.stats.elements;
-        stats.moves += out.stats.moves;
-        stats.max_transcript = stats.max_transcript.max(out.stats.max_transcript);
-        stats.failures += out.stats.failures;
-        for tid in out.failed {
-            failed.push((s as u32, tid));
-        }
-    }
+    let arena = stage.finish(&built.lens);
+    let (mut failed, stats) = (built.failed, built.stats);
     failed.sort_unstable();
     Preprocessed {
         params,
@@ -516,6 +516,91 @@ pub fn preprocess_with(
         n_items: n,
         failed,
         stats,
+    }
+}
+
+/// Cost of building one set of `len` elements stored as `repr`, in
+/// units of one direct-encoded element:
+/// 1 per set, 1 per bitmap or tidlist element, and
+/// [`BATMAP_ELEMENT_COST`] per batmap element.
+fn build_cost(repr: SetRepr, len: usize) -> u64 {
+    let per_element = match repr {
+        SetRepr::Batmap => BATMAP_ELEMENT_COST,
+        SetRepr::Bitmap | SetRepr::Tidlist => 1,
+    };
+    1 + per_element * len as u64
+}
+
+/// Cost of one cuckoo insertion against one direct encode: each batmap
+/// element walks three Feistel permutations and makes about four cuckoo
+/// moves (≈ 100–500 ns), where a bitmap or tidlist element is one store.
+/// On the `serve_mixed` corpus (webdocs seed 1, 24,000 transactions,
+/// hybrid; 2-vCPU AVX-512 host, medians of 9, three runs) this weight
+/// builds on 2 threads in 0.095–0.098 s against 0.164–0.176 s serial.
+/// Equal-count runs put every batmap of the width order into one
+/// worker's run: their 2-thread build took 0.182–0.192 s, no faster than
+/// serial.
+const BATMAP_ELEMENT_COST: u64 = 200;
+
+/// Where to cut a run of sets with these build `costs` into at most
+/// `workers` contiguous segments of about equal total cost: the
+/// ascending start index of every segment after the first. Each set
+/// joins the segment that holds the midpoint of its cost on the running
+/// total, so no segment is empty and none costs more than its equal
+/// share plus its most costly set.
+fn equal_cost_cuts(costs: &[u64], workers: usize) -> Vec<usize> {
+    let workers = workers.max(1) as u64;
+    let total: u64 = costs.iter().sum();
+    let mut cuts = Vec::new();
+    let (mut before, mut segment) = (0u64, 0u64);
+    for (s, &c) in costs.iter().enumerate() {
+        let at = ((2 * before + c) * workers / (2 * total).max(1)).min(workers - 1);
+        if at > segment {
+            if s > 0 {
+                cuts.push(s);
+            }
+            segment = at;
+        }
+        before += c;
+    }
+    cuts
+}
+
+/// What a run of consecutive sets built to: each set's stored
+/// cardinality in order, the failed insertions as `(sorted position,
+/// tid)`, and the summed construction statistics. Folding each set's
+/// outcome in as it is built keeps no per-set outcome alive.
+#[derive(Default)]
+struct Built {
+    lens: Vec<usize>,
+    failed: Vec<(u32, u32)>,
+    stats: batmap::InsertStats,
+}
+
+impl Built {
+    /// Fold in the outcome of the set at sorted position `s`, the next
+    /// one of the run.
+    fn add(&mut self, s: usize, out: ArenaSetOutcome) {
+        self.lens.push(out.len);
+        self.failed
+            .extend(out.failed.iter().map(|&tid| (s as u32, tid)));
+        self.merge_stats(&out.stats);
+    }
+
+    /// Append the run that follows this one.
+    fn append(mut self, next: Built) -> Built {
+        self.lens.extend(next.lens);
+        self.failed.extend(next.failed);
+        self.merge_stats(&next.stats);
+        self
+    }
+
+    fn merge_stats(&mut self, other: &batmap::InsertStats) {
+        let stats = &mut self.stats;
+        stats.elements += other.elements;
+        stats.moves += other.moves;
+        stats.max_transcript = stats.max_transcript.max(other.max_transcript);
+        stats.failures += other.failures;
     }
 }
 
@@ -628,6 +713,44 @@ mod tests {
             }
             assert_eq!(par.failed, serial.failed);
             assert_eq!(par.stats, serial.stats);
+        }
+    }
+
+    #[test]
+    fn build_segments_split_equal_cost() {
+        assert_eq!(equal_cost_cuts(&[1, 1, 1, 1], 2), [2]);
+        assert_eq!(equal_cost_cuts(&[1, 1, 1, 100], 2), [3]);
+        assert_eq!(equal_cost_cuts(&[100, 1, 1, 1], 2), [1]);
+        assert_eq!(equal_cost_cuts(&[100, 1, 1, 1], 1), [] as [usize; 0]);
+        assert_eq!(equal_cost_cuts(&[5], 4), [] as [usize; 0]);
+        assert_eq!(equal_cost_cuts(&[], 3), [] as [usize; 0]);
+        // A corpus in width order: many cheap sets, then a few batmaps.
+        let costs: Vec<u64> = (0..1_000u64)
+            .map(|s| {
+                if s < 950 {
+                    1 + s % 7
+                } else {
+                    build_cost(SetRepr::Batmap, 40)
+                }
+            })
+            .collect();
+        let total: u64 = costs.iter().sum();
+        let max = *costs.iter().max().unwrap();
+        for workers in 1..=8usize {
+            let cuts = equal_cost_cuts(&costs, workers);
+            assert!(cuts.len() < workers, "workers {workers}");
+            let bounds: Vec<usize> = std::iter::once(0)
+                .chain(cuts.iter().copied())
+                .chain(std::iter::once(costs.len()))
+                .collect();
+            for w in bounds.windows(2) {
+                assert!(w[0] < w[1], "workers {workers}: empty or unordered segment");
+                let cost: u64 = costs[w[0]..w[1]].iter().sum();
+                assert!(
+                    cost <= total / workers as u64 + max,
+                    "workers {workers}: segment {w:?} costs {cost} of {total}"
+                );
+            }
         }
     }
 
@@ -799,12 +922,25 @@ mod tests {
     mod mmap_load {
         use super::*;
 
-        fn snapshot_to_temp(pre: &Preprocessed, name: &str) -> std::path::PathBuf {
-            let dir = std::env::temp_dir().join(format!("batmap-pre-mmap-{}", std::process::id()));
+        /// Removes a test's temp directory when the test ends, passing
+        /// or failing.
+        struct RemoveDir(std::path::PathBuf);
+
+        impl Drop for RemoveDir {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+
+        /// Write `pre` to a file named `name` in a fresh directory of
+        /// its own (tests run concurrently, so no two share one).
+        fn snapshot_to_temp(pre: &Preprocessed, name: &str) -> (RemoveDir, std::path::PathBuf) {
+            let dir =
+                std::env::temp_dir().join(format!("batmap-pre-mmap-{}-{name}", std::process::id()));
             std::fs::create_dir_all(&dir).unwrap();
             let path = dir.join(name);
             pre.write_snapshot_file(&path).unwrap();
-            path
+            (RemoveDir(dir), path)
         }
 
         #[test]
@@ -820,7 +956,7 @@ mod tests {
                 ),
             ] {
                 let pre = preprocess_with(&skewed_vertical(), 6, 128, options);
-                let path = snapshot_to_temp(&pre, name);
+                let (_dir, path) = snapshot_to_temp(&pre, name);
                 let buffered =
                     Preprocessed::read_snapshot_file_with(&path, SnapshotLoad::Buffered).unwrap();
                 let mapped =
@@ -844,14 +980,13 @@ mod tests {
                 }
                 // The mapped arena payload does not count as heap.
                 assert!(mapped.heap_bytes() < buffered.heap_bytes());
-                std::fs::remove_file(&path).unwrap();
             }
         }
 
         #[test]
         fn mmap_corpus_rejects_corruption_like_buffered() {
             let pre = preprocess(&vertical(), 6, 128);
-            let path = snapshot_to_temp(&pre, "corrupt.snap");
+            let (_dir, path) = snapshot_to_temp(&pre, "corrupt.snap");
             let pristine = std::fs::read(&path).unwrap();
             let reseal = |bytes: &[u8]| std::fs::write(&path, bytes).unwrap();
 
@@ -884,7 +1019,6 @@ mod tests {
             reseal(&pristine);
             let ok = Preprocessed::read_snapshot_file_with(&path, SnapshotLoad::Mmap).unwrap();
             ok.verify().unwrap();
-            std::fs::remove_file(&path).unwrap();
         }
     }
 

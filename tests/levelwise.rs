@@ -3,10 +3,14 @@
 //! Apriori and FP-Growth), and the retired multiway knobs set to their
 //! old failure-forcing values.
 
+use batmap::EngineOptions;
+use datagen::webdocs::{self, WebDocsSpec};
 use fim::apriori::{self, Itemset};
-use fim::{fpgrowth, TransactionDb};
+use fim::{fpgrowth, TransactionDb, VerticalDb};
+use hpcutil::MemoryFootprint;
 use pairminer::{
-    mine, Engine, LevelwiseConfig, LevelwiseMiner, MinerConfig, Parallelism, ReprPolicy,
+    mine, mine_preprocessed, preprocess_with, Engine, LevelwiseConfig, LevelwiseMiner,
+    MemoryReport, MinerConfig, Parallelism, ReprPolicy,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -195,4 +199,74 @@ proptest! {
             }
         }
     }
+}
+
+/// `mine` converts only the items whose support reaches minsup, so the
+/// items below it are empty sets of its corpus. A corpus built from
+/// every item — `from_horizontal` → `preprocess_with` →
+/// `mine_preprocessed`, the path a snapshot-served corpus takes — must
+/// give the same pairs, plan, comparisons and repaired pair
+/// occurrences, at no lower peak memory; and `mine_from_pairs` over
+/// those pairs must give what `LevelwiseMiner::mine` gives. Webdocs
+/// data at MaxLoop 2, so cuckoo insertions fail and their repair path
+/// runs.
+#[test]
+fn pruned_mine_equals_mining_a_corpus_of_every_item() {
+    let db = webdocs::generate(&WebDocsSpec {
+        documents: 300,
+        mean_doc_len: 30,
+        seed: 9,
+        ..Default::default()
+    });
+    let full_vertical = VerticalDb::from_horizontal(&db);
+    let mut repaired = 0;
+    for minsup in [2u64, 10, 40] {
+        for repr in [ReprPolicy::Hybrid, ReprPolicy::Batmap] {
+            for threads in [Parallelism::Serial, Parallelism::threads(2)] {
+                let pair = MinerConfig {
+                    k: 128,
+                    minsup,
+                    seed: 17,
+                    max_loop: 2,
+                    engine: Engine::Cpu,
+                    options: EngineOptions::auto().repr(repr).threads(threads),
+                };
+                let what = format!("minsup {minsup}, {repr}, {threads:?}");
+                let pruned = mine(&db, &pair);
+                let pre = preprocess_with(&full_vertical, pair.seed, pair.max_loop, pair.options);
+                let full = mine_preprocessed(&db, &pre, &pair);
+                assert_eq!(pruned.pairs, full.pairs, "{what}");
+                assert_eq!(pruned.planned_items, full.planned_items, "{what}");
+                assert_eq!(pruned.comparisons, full.comparisons, "{what}");
+                assert_eq!(
+                    pruned.failed_pair_occurrences, full.failed_pair_occurrences,
+                    "{what}"
+                );
+                // `mine_preprocessed` charges no tidlists; the pipeline
+                // that converts every item holds all of them.
+                let every_item = MemoryReport {
+                    tidlists_bytes: full_vertical.heap_bytes(),
+                    ..full.memory
+                };
+                assert!(
+                    pruned.memory.peak_bytes() <= every_item.peak_bytes(),
+                    "{what}: peak {} > {}",
+                    pruned.memory.peak_bytes(),
+                    every_item.peak_bytes()
+                );
+                repaired += full.failed_pair_occurrences;
+
+                let miner = LevelwiseMiner::new(LevelwiseConfig {
+                    depth: 3,
+                    pair: pair.clone(),
+                    ..Default::default()
+                });
+                let mined = miner.mine(&db);
+                let seeded = miner.mine_from_pairs(&db, &full.pairs);
+                assert_eq!(mined.itemsets, seeded.itemsets, "{what}");
+                assert!(!mined.itemsets.is_empty(), "{what}");
+            }
+        }
+    }
+    assert!(repaired > 0, "no failed insertion was repaired");
 }

@@ -16,10 +16,25 @@ use proptest::collection::btree_set;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-fn temp_path(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("batmap-mmap-serving-{}", std::process::id()));
+/// Removes a test's temp directory when the test ends, passing or
+/// failing.
+struct RemoveDir(std::path::PathBuf);
+
+impl Drop for RemoveDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A path named `name` in a fresh directory of its own (tests run
+/// concurrently, so no two share one), and the guard that removes that
+/// directory.
+fn temp_path(name: &str) -> (RemoveDir, std::path::PathBuf) {
+    let dir =
+        std::env::temp_dir().join(format!("batmap-mmap-serving-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    let path = dir.join(name);
+    (RemoveDir(dir), path)
 }
 
 fn db(n_items: u32, len: u32, stride: u32) -> TransactionDb {
@@ -49,7 +64,7 @@ proptest! {
             builder.push(&Batmap::build_sorted(params.clone(), &v).batmap);
         }
         let arena = builder.finish();
-        let path = temp_path(&format!("prop-{seed}-{}.arena", sets.len()));
+        let (_dir, path) = temp_path(&format!("prop-{seed}-{}.arena", sets.len()));
         arena.write_to_file(&path).unwrap();
         let heap = BatmapArena::read_from_file_with(&path, SnapshotLoad::Buffered).unwrap();
         let mapped = BatmapArena::read_from_file_with(&path, SnapshotLoad::Mmap).unwrap();
@@ -64,7 +79,6 @@ proptest! {
                 "set {}", i
             );
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     /// Flipping any single byte of a corpus snapshot can never produce
@@ -74,7 +88,7 @@ proptest! {
     fn any_byte_flip_is_caught_by_open_or_verify(poke_seed in any::<u64>()) {
         let v = VerticalDb::from_horizontal(&db(10, 300, 5));
         let pre = preprocess_with(&v, 3, 128, EngineOptions::auto().repr(ReprPolicy::Batmap));
-        let path = temp_path("flip.snap");
+        let (_dir, path) = temp_path("flip.snap");
         pre.write_snapshot_file(&path).unwrap();
         let pristine = std::fs::read(&path).unwrap();
         let poke = (poke_seed as usize) % pristine.len();
@@ -86,7 +100,6 @@ proptest! {
             Ok(mapped) => mapped.verify().is_err(),
         };
         prop_assert!(caught, "flip at byte {} of {} escaped", poke, pristine.len());
-        std::fs::remove_file(&path).unwrap();
     }
 }
 
@@ -110,7 +123,7 @@ fn mmap_and_buffered_corpora_mine_identically() {
             ..MinerConfig::default()
         };
         let pre = preprocess_with(&v, config.seed, config.max_loop, config.options);
-        let path = temp_path(&format!("mine-{name}.snap"));
+        let (_dir, path) = temp_path(&format!("mine-{name}.snap"));
         pre.write_snapshot_file(&path).unwrap();
         let buffered =
             Preprocessed::read_snapshot_file_with(&path, SnapshotLoad::Buffered).unwrap();
@@ -122,7 +135,6 @@ fn mmap_and_buffered_corpora_mine_identically() {
             "{name}: mmap mining must not change results"
         );
         assert_eq!(a.comparisons, b.comparisons, "{name}");
-        std::fs::remove_file(&path).unwrap();
     }
 }
 
@@ -134,7 +146,7 @@ fn server_open_snapshots_serves_identically_under_both_loads() {
     let d = db(16, 400, 3);
     let v = VerticalDb::from_horizontal(&d);
     let pre = preprocess_with(&v, 5, 128, EngineOptions::auto().repr(ReprPolicy::Batmap));
-    let path = temp_path("served.snap");
+    let (_dir, path) = temp_path("served.snap");
     pre.write_snapshot_file(&path).unwrap();
 
     let answers = |load: SnapshotLoad| -> Vec<Response> {
@@ -166,7 +178,6 @@ fn server_open_snapshots_serves_identically_under_both_loads() {
         buffered, mapped,
         "served answers must not depend on the load path"
     );
-    std::fs::remove_file(&path).unwrap();
 }
 
 /// A corrupted snapshot cannot sneak into a serving engine through the
@@ -176,7 +187,7 @@ fn server_open_rejects_truncated_snapshots() {
     use batmap_server::{EngineConfig, QueryEngine};
     let v = VerticalDb::from_horizontal(&db(8, 200, 1));
     let pre = preprocess_with(&v, 2, 128, EngineOptions::auto().repr(ReprPolicy::Batmap));
-    let path = temp_path("truncated.snap");
+    let (_dir, path) = temp_path("truncated.snap");
     pre.write_snapshot_file(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
@@ -190,5 +201,4 @@ fn server_open_rejects_truncated_snapshots() {
             "a truncated snapshot must not open under {load}"
         );
     }
-    std::fs::remove_file(&path).unwrap();
 }
