@@ -145,8 +145,8 @@ mod tests {
         assert!(v.tidlist(1).is_empty());
     }
 
-    /// The conversion of the old `from_horizontal`: one push per
-    /// occurrence into growing lists.
+    /// Reference conversion: one push per occurrence into growing
+    /// lists.
     fn reference(db: &TransactionDb) -> Vec<Vec<u32>> {
         let mut tidlists = vec![Vec::new(); db.n_items() as usize];
         for (tid, t) in db.transactions().iter().enumerate() {
