@@ -1264,6 +1264,69 @@ fn ingest_gate(args: &Args, gates: &mut Gates) {
     });
 }
 
+/// The transaction-mirror rebuild that `transactions_of` replaced,
+/// kept here as the reference of the `mirror.rebuild` gate: every
+/// stored element decoded by its own Feistel inversion and pushed onto
+/// a growing slot, then every slot sorted and deduplicated.
+fn per_element_mirror(pre: &Preprocessed) -> Vec<Vec<u32>> {
+    let mut txns: Vec<Vec<u32>> = vec![Vec::new(); pre.params.m() as usize];
+    for s in 0..pre.n_items as usize {
+        let item = pre.order[s];
+        for tid in pre.payload(s).elements() {
+            txns[tid as usize].push(item);
+        }
+    }
+    for &(s, tid) in &pre.failed {
+        txns[tid as usize].push(pre.order[s as usize]);
+    }
+    for txn in &mut txns {
+        txn.sort_unstable();
+        txn.dedup();
+    }
+    txns
+}
+
+/// Counting rebuild vs [`per_element_mirror`] of the transaction mirror
+/// a snapshot-opened corpus needs for its first write, on the
+/// `serve_mixed` shape: a hybrid webdocs corpus with a sixth of its
+/// slots spare. Both arms must rebuild the source transactions. Bound
+/// 2.30× from sixteen `--quick` runs: median 2.59×, quartiles
+/// 2.51–2.61×, lowest 2.34×.
+fn mirror_rebuild_gate(args: &Args, gates: &mut Gates) {
+    use fim::TransactionDb;
+    use pairminer::ingest::transactions_of;
+
+    let documents = if args.quick { 4_000 } else { 20_000 };
+    let docs = webdocs::generate(&WebDocsSpec {
+        documents,
+        seed: args.seed,
+        ..Default::default()
+    });
+    let mut txns = docs.transactions().to_vec();
+    txns.resize(documents + documents / 5, Vec::new());
+    let db = TransactionDb::new(docs.n_items(), txns);
+    let pre = preprocess_with(&VerticalDb::from_horizontal(&db), args.seed, 128, serving());
+    assert_eq!(transactions_of(&pre), db.transactions());
+    assert_eq!(per_element_mirror(&pre), db.transactions());
+    println!(
+        "mirror.rebuild: {} slots, {} sets {:?} (batmap/bitmap/tidlist)",
+        db.len(),
+        pre.n_items,
+        pre.repr_histogram()
+    );
+    gates.judge("mirror.rebuild", 2.30, || {
+        ab_ratios(
+            rounds(args),
+            || {
+                std::hint::black_box(per_element_mirror(&pre));
+            },
+            || {
+                std::hint::black_box(transactions_of(&pre));
+            },
+        )
+    });
+}
+
 /// Mmap vs buffered cold start on a ≥64 MiB snapshot: the mapped open
 /// validates header and directory and leaves the payload to fault in;
 /// the buffered load reads and checksums it all. Both must serve
@@ -1368,6 +1431,7 @@ fn main() {
     serve_gates(&args, &mut gates);
     shedding_check(&args);
     ingest_gate(&args, &mut gates);
+    mirror_rebuild_gate(&args, &mut gates);
     snapshot_gate(&args, &mut gates);
 
     let mut table = Table::new(&["gate", "ratio", "q1..q3", "n", "steal", "bound", "verdict"]);

@@ -59,7 +59,9 @@
 //!   ([`SnapshotLoad::Mmap`], 64-bit Unix only). Open cost is
 //!   O(header + directory): the parser touches nothing past the
 //!   directory, so a cold multi-GiB corpus serves its first query in
-//!   milliseconds. The payload checksum is deferred —
+//!   milliseconds — through the serving engine too, whose live corpus
+//!   leaves the transaction mirror that only writes need to the first
+//!   write, compaction or mine. The payload checksum is deferred —
 //!   [`BatmapArena::verify`] runs it on demand (and
 //!   [`BatmapArena::verification_pending`] tells whether such a
 //!   deferred check exists). Structural corruption a query could trip

@@ -111,7 +111,9 @@
 //!    eager read that checksums the whole payload before serving.
 //! 3. `mmap` maps the file read-only and defers the payload checksum
 //!    to an explicit [`arena::BatmapArena::verify`] call, so a cold
-//!    multi-GiB corpus serves its first query in milliseconds. Headers
+//!    multi-GiB corpus serves its first query in milliseconds (the
+//!    server's live corpus rebuilds the transaction mirror that only
+//!    writes need on the first write, compaction or mine). Headers
 //!    and directories are still validated eagerly. On platforms
 //!    without the mmap backing (non-Unix or 32-bit), `mmap` downgrades
 //!    to `buffered` with a one-time warning.

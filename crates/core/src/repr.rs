@@ -35,6 +35,7 @@
 
 use crate::arena::BatmapRef;
 use crate::batmap::AsSlots;
+use crate::hash::InversePerms;
 use crate::params::{ParamsHandle, TABLES};
 use std::fmt;
 use std::sync::OnceLock;
@@ -469,6 +470,20 @@ impl<'a> SetView<'a> {
             SetView::Tidlist(t) => t.elements(),
         }
     }
+
+    /// Visit every stored element once, in [`SetView::elements`]
+    /// order, without allocating; a batmap's slots are inverted
+    /// through `inverse`, which must come from this set's universe.
+    pub fn for_each_element(&self, inverse: &InversePerms<'_>, mut f: impl FnMut(u32)) {
+        match self {
+            SetView::Batmap(b) => for_each_batmap_element_with(b, |t, pi| inverse.invert(t, pi), f),
+            SetView::Bitmap(b) => b.for_each(f),
+            SetView::Tidlist(t) => t
+                .as_bytes()
+                .chunks_exact(4)
+                .for_each(|w| f(u32::from_le_bytes(w.try_into().unwrap()))),
+        }
+    }
 }
 
 /// Encode `elements` (sorted, duplicate-free) as an uncompressed bitmap
@@ -495,7 +510,17 @@ pub fn encode_tidlist_into(elements: &[u32], out: &mut [u8]) {
 /// element exactly once via the indicator-bit scan (the sparser-probes-
 /// denser cross-representation kernels use this to stream one operand
 /// against the other's membership test).
-pub(crate) fn for_each_batmap_element(b: &BatmapRef<'_>, mut f: impl FnMut(u32)) {
+pub(crate) fn for_each_batmap_element(b: &BatmapRef<'_>, f: impl FnMut(u32)) {
+    let perms = b.params().perms();
+    for_each_batmap_element_with(b, |t, pi| perms.invert(t, pi), f);
+}
+
+/// [`for_each_batmap_element`] with `πₜ⁻¹` supplied by `invert`.
+fn for_each_batmap_element_with(
+    b: &BatmapRef<'_>,
+    invert: impl Fn(usize, u64) -> u64,
+    mut f: impl FnMut(u32),
+) {
     let params = b.params();
     let r = b.range();
     for (idx, &byte) in b.slot_bytes().iter().enumerate() {
@@ -506,7 +531,7 @@ pub(crate) fn for_each_batmap_element(b: &BatmapRef<'_>, mut f: impl FnMut(u32))
         let pi = params
             .decode_slot(idx, crate::slot::key(byte), r)
             .expect("live slot must decode");
-        f(params.perms().invert(t, pi) as u32);
+        f(invert(t, pi) as u32);
     }
 }
 

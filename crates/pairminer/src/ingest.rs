@@ -29,6 +29,15 @@
 //! exactly what [`WindowedMiner`] does with its ring of `capacity`
 //! slots over the last `window` transactions.
 //!
+//! Alongside sits the **transaction mirror**: `txns[tid]`, the ground
+//! truth that validates writes and feeds compaction and mining. Reads
+//! never touch it. [`LayeredCorpus::new`] takes it from the database;
+//! [`LayeredCorpus::from_preprocessed`] — a snapshot open — leaves it
+//! empty, and the first write, compaction, mine or mirror read
+//! rebuilds it from stored ∪ failed elements in one counting pass
+//! ([`transactions_of`]). So a corpus opened from a snapshot serves
+//! reads at once, and the mirror's cost falls on its first writer.
+//!
 //! [`LayeredCorpus::compact`] folds base+delta into a fresh arena via
 //! the standard two-pass width-sorted build and swaps it in (the swap
 //! is guarded by the `ingest.compact.swap` fault site; a failed swap
@@ -67,11 +76,13 @@
 
 use crate::preprocess::{preprocess_with, Preprocessed};
 use crate::{LevelwiseConfig, LevelwiseMiner, LevelwiseReport};
+use batmap::hash::InversePerms;
 use batmap::intersect::count_mixed_with;
-use batmap::{exact_pair_count, DeltaRegion, EngineOptions, PairSide, SetView};
+use batmap::{exact_pair_count, DeltaRegion, EngineOptions, PairSide, SetRepr, SetView};
 use fim::{TransactionDb, VerticalDb};
 use hpcutil::fault_point;
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// A rejected or failed write-path operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,6 +172,55 @@ impl CompactionJob {
     }
 }
 
+/// The transactions a preprocessed corpus holds: `txns[tid]` lists,
+/// ascending, the items whose stored set or failed insertions contain
+/// `tid` (empty = free slot); one entry per slot of the universe `m`.
+///
+/// One counting pass: items are walked in ascending id, each decoding
+/// its stored elements and its failed tids into one flat buffer; every
+/// slot is then allocated at its exact length and filled in item order,
+/// so no slot is sorted. Batmap elements are inverted through
+/// [`InversePerms::for_elements`] — the `πₜ⁻¹` tables when the corpus
+/// stores enough batmap elements to pay for them.
+pub fn transactions_of(pre: &Preprocessed) -> Vec<Vec<u32>> {
+    let n = pre.n_items as usize;
+    let (mut stored, mut batmap_elements) = (0, 0);
+    for s in 0..n {
+        let view = pre.payload(s);
+        stored += view.len();
+        if view.repr() == SetRepr::Batmap {
+            batmap_elements += view.len() as u64;
+        }
+    }
+    let inverse = InversePerms::for_elements(pre.params.perms(), batmap_elements);
+    // `tids[ends[i-1]..ends[i]]` are item i's memberships.
+    let mut tids: Vec<u32> = Vec::with_capacity(stored + pre.failed.len());
+    let mut ends = Vec::with_capacity(n);
+    for &s in &pre.item_to_sorted {
+        let s = s as usize;
+        pre.payload(s)
+            .for_each_element(&inverse, |tid| tids.push(tid));
+        tids.extend(pre.failed_for(s).iter().map(|&(_, tid)| tid));
+        ends.push(tids.len());
+    }
+    let mut counts = vec![0u32; pre.params.m() as usize];
+    for &tid in &tids {
+        counts[tid as usize] += 1;
+    }
+    let mut txns: Vec<Vec<u32>> = counts
+        .iter()
+        .map(|&c| Vec::with_capacity(c as usize))
+        .collect();
+    let mut start = 0;
+    for (item, &end) in ends.iter().enumerate() {
+        for &tid in &tids[start..end] {
+            txns[tid as usize].push(item as u32);
+        }
+        start = end;
+    }
+    txns
+}
+
 /// A live corpus: an immutable preprocessed base, a mutable delta
 /// region, and the ground-truth transaction mirror that makes writes
 /// validatable and compaction a pure rebuild. See the module docs.
@@ -170,8 +230,10 @@ pub struct LayeredCorpus {
     /// Per-sorted-position deltas over the base payloads.
     delta: DeltaRegion,
     /// The live transactions, `txns[tid]` strictly ascending (empty =
-    /// free slot). Length is exactly the universe size `m`.
-    txns: Vec<Vec<u32>>,
+    /// free slot). Length is exactly the universe size `m`. Filled on
+    /// first use after [`LayeredCorpus::from_preprocessed`] (reads
+    /// never need it); always filled before the base is swapped.
+    txns: OnceLock<Vec<Vec<u32>>>,
     /// Seed for compaction rebuilds.
     seed: u64,
     /// Bumped by every applied write and every compaction swap; the
@@ -186,34 +248,25 @@ impl LayeredCorpus {
     pub fn new(db: &TransactionDb, seed: u64, max_loop: u32, options: EngineOptions) -> Self {
         let v = VerticalDb::from_horizontal(db);
         let pre = preprocess_with(&v, seed, max_loop, options);
-        let txns = db.transactions().to_vec();
+        let txns = OnceLock::from(db.transactions().to_vec());
         Self::assemble(pre, txns, seed)
     }
 
     /// Wrap an existing preprocessed corpus (e.g. one loaded from a
-    /// snapshot) as a live corpus, reconstructing the transaction
-    /// mirror from stored ∪ failed elements. `seed` feeds compaction
+    /// snapshot) as a live corpus, at once: reads are served straight
+    /// from the base. The transaction mirror is rebuilt from stored ∪
+    /// failed elements ([`transactions_of`]) by the first operation
+    /// that needs it — a write, a compaction, [`LayeredCorpus::mine`],
+    /// or the [`LayeredCorpus::database`] / [`LayeredCorpus::transaction`]
+    /// / [`LayeredCorpus::live_transactions`] accessors — or ahead of
+    /// time by [`LayeredCorpus::fill_mirror`]. `seed` feeds compaction
     /// rebuilds.
     pub fn from_preprocessed(pre: Preprocessed, seed: u64) -> Self {
-        let mut txns: Vec<Vec<u32>> = vec![Vec::new(); pre.params.m() as usize];
-        for s in 0..pre.n_items as usize {
-            let item = pre.order[s];
-            for tid in pre.payload(s).elements() {
-                txns[tid as usize].push(item);
-            }
-        }
-        for &(s, tid) in &pre.failed {
-            txns[tid as usize].push(pre.order[s as usize]);
-        }
-        for txn in &mut txns {
-            txn.sort_unstable();
-            txn.dedup();
-        }
-        Self::assemble(pre, txns, seed)
+        Self::assemble(pre, OnceLock::new(), seed)
     }
 
-    fn assemble(pre: Preprocessed, txns: Vec<Vec<u32>>, seed: u64) -> Self {
-        debug_assert_eq!(txns.len() as u64, pre.params.m());
+    fn assemble(pre: Preprocessed, txns: OnceLock<Vec<Vec<u32>>>, seed: u64) -> Self {
+        debug_assert!(txns.get().is_none_or(|t| t.len() as u64 == pre.params.m()));
         let delta = DeltaRegion::new(pre.n_items as usize);
         LayeredCorpus {
             pre,
@@ -225,6 +278,24 @@ impl LayeredCorpus {
     }
 
     // -- accessors -----------------------------------------------------
+
+    /// The transaction mirror, rebuilt from the base on first use.
+    fn mirror(&self) -> &[Vec<u32>] {
+        self.txns.get_or_init(|| transactions_of(&self.pre))
+    }
+
+    fn mirror_mut(&mut self) -> &mut Vec<Vec<u32>> {
+        self.mirror();
+        self.txns.get_mut().expect("mirror filled above")
+    }
+
+    /// Rebuild the transaction mirror now if it is not built yet (a
+    /// no-op otherwise). Takes `&self`, so a server can pay for the
+    /// first write after a cold start under a shared lock while reads
+    /// keep flowing.
+    pub fn fill_mirror(&self) {
+        self.mirror();
+    }
 
     /// The immutable base corpus (arena, order maps, params).
     pub fn pre(&self) -> &Preprocessed {
@@ -261,12 +332,12 @@ impl LayeredCorpus {
 
     /// The live items of transaction slot `tid` (empty = free).
     pub fn transaction(&self, tid: u32) -> &[u32] {
-        &self.txns[tid as usize]
+        &self.mirror()[tid as usize]
     }
 
     /// Number of live (non-empty) transaction slots.
     pub fn live_transactions(&self) -> usize {
-        self.txns.iter().filter(|t| !t.is_empty()).count()
+        self.mirror().iter().filter(|t| !t.is_empty()).count()
     }
 
     /// Zero-copy view of the *base* payload at sorted position `s` (the
@@ -365,7 +436,7 @@ impl LayeredCorpus {
     /// The live corpus as a horizontal database (what mining and the
     /// differential oracle rebuild from).
     pub fn database(&self) -> TransactionDb {
-        TransactionDb::new(self.pre.n_items, self.txns.clone())
+        TransactionDb::new(self.pre.n_items, self.mirror().to_vec())
     }
 
     // -- writes --------------------------------------------------------
@@ -395,7 +466,7 @@ impl LayeredCorpus {
             return Err(IngestError::OutOfUniverse { tid, m: self.m() });
         }
         self.validate_items(items)?;
-        let live = &self.txns[tid as usize];
+        let live = &self.mirror()[tid as usize];
         if !live.is_empty() {
             return if live == items {
                 Ok(0)
@@ -409,7 +480,7 @@ impl LayeredCorpus {
             let in_base = self.base_contains(s, tid);
             self.delta.apply_add(s, tid, in_base);
         }
-        self.txns[tid as usize] = items.to_vec();
+        self.mirror_mut()[tid as usize] = items.to_vec();
         self.version += 1;
         Ok(items.len() as u64)
     }
@@ -420,11 +491,11 @@ impl LayeredCorpus {
         if (tid as u64) >= self.m() {
             return Err(IngestError::OutOfUniverse { tid, m: self.m() });
         }
-        if self.txns[tid as usize].is_empty() {
+        if self.mirror()[tid as usize].is_empty() {
             return Ok(0);
         }
         fault_point!("ingest.apply", |m: String| Err(IngestError::Fault(m)));
-        let items = std::mem::take(&mut self.txns[tid as usize]);
+        let items = std::mem::take(&mut self.mirror_mut()[tid as usize]);
         for &item in &items {
             let s = self.pre.item_to_sorted[item as usize] as usize;
             let in_base = self.base_contains(s, tid);
@@ -440,7 +511,7 @@ impl LayeredCorpus {
     /// [`LayeredCorpus::try_finish_compaction`].
     pub fn begin_compaction(&self) -> CompactionJob {
         CompactionJob {
-            txns: self.txns.clone(),
+            txns: self.mirror().to_vec(),
             version: self.version,
             n_items: self.pre.n_items,
             seed: self.seed,
@@ -484,6 +555,8 @@ impl LayeredCorpus {
         fault_point!("ingest.compact.swap", |m: String| Err(IngestError::Fault(
             m
         )));
+        // The mirror must come from the base it describes.
+        self.fill_mirror();
         self.delta = DeltaRegion::new(built.n_items as usize);
         self.pre = built;
         self.version += 1;
@@ -652,7 +725,7 @@ mod tests {
     /// Brute-force pair count over the live transaction mirror.
     fn oracle_pair(corpus: &LayeredCorpus, a: u32, b: u32) -> u64 {
         corpus
-            .txns
+            .mirror()
             .iter()
             .filter(|t| t.binary_search(&a).is_ok() && t.binary_search(&b).is_ok())
             .count() as u64
@@ -693,7 +766,7 @@ mod tests {
                         );
                     }
                     let support = corpus
-                        .txns
+                        .mirror()
                         .iter()
                         .filter(|t| t.binary_search(&a).is_ok())
                         .count() as u64;
@@ -857,8 +930,34 @@ mod tests {
         let v = VerticalDb::from_horizontal(&db);
         let pre = preprocess_with(&v, 0xA6, 128, options());
         let wrapped = LayeredCorpus::from_preprocessed(pre, 0xA6);
-        assert_eq!(direct.txns, wrapped.txns);
-        let live: BTreeSet<usize> = (0..64).filter(|&t| !wrapped.txns[t].is_empty()).collect();
+        assert_eq!(direct.mirror(), wrapped.mirror());
+        let live: BTreeSet<usize> = (0..64)
+            .filter(|&t| !wrapped.mirror()[t].is_empty())
+            .collect();
         assert_eq!(live.len(), wrapped.live_transactions());
+    }
+
+    /// The rebuild's decode — tabled or per-element `πₜ⁻¹` — visits
+    /// every set's elements as `elements()` lists them, padding sets
+    /// included, under both storage policies.
+    #[test]
+    fn table_driven_decode_equals_elements() {
+        for policy in [ReprPolicy::Batmap, ReprPolicy::Hybrid] {
+            let v = VerticalDb::from_horizontal(&fixture());
+            let pre = preprocess_with(&v, 0xA7, 128, EngineOptions::auto().repr(policy));
+            assert!(pre.padded_items() > pre.n_items as usize);
+            let perms = pre.params.perms();
+            let tabled = InversePerms::tabled(perms);
+            let feistel = InversePerms::feistel(perms);
+            assert!(tabled.is_tabled() && !feistel.is_tabled());
+            for s in 0..pre.padded_items() {
+                let view = pre.payload(s);
+                for inverse in [&tabled, &feistel] {
+                    let mut decoded = Vec::new();
+                    view.for_each_element(inverse, |x| decoded.push(x));
+                    assert_eq!(decoded, view.elements(), "set {s} under {policy:?}");
+                }
+            }
+        }
     }
 }

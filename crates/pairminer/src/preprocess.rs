@@ -195,7 +195,10 @@ impl Preprocessed {
     ///   payload is never touched — pages fault in on first use, and
     ///   the payload checksum is deferred to an explicit
     ///   [`Preprocessed::verify`] call. A cold multi-GiB corpus serves
-    ///   its first query in milliseconds.
+    ///   its first query in milliseconds, also when wrapped live:
+    ///   [`crate::LayeredCorpus::from_preprocessed`] rebuilds the
+    ///   transaction mirror only on the first write, compaction or
+    ///   mine.
     pub fn read_snapshot_file_with<P: AsRef<std::path::Path>>(
         path: P,
         load: SnapshotLoad,

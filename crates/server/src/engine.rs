@@ -50,7 +50,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockWriteGuard};
 use std::thread::JoinHandle;
 
 /// Engine configuration. `Default` serves with one shard per core,
@@ -128,6 +128,15 @@ impl Corpus {
             n_items,
             m,
         }
+    }
+
+    /// The exclusive guard of a write or a mine. The transaction mirror
+    /// both need is filled first under the shared lock, so after a
+    /// cold start reads keep flowing while the first writer waits for
+    /// the rebuild.
+    fn write(&self) -> RwLockWriteGuard<'_, LayeredCorpus> {
+        read_recover(&self.state).fill_mirror();
+        write_recover(&self.state)
     }
 }
 
@@ -266,6 +275,12 @@ impl QueryEngine {
     /// [`pairminer::Preprocessed::verify`] out of band if end-to-end
     /// payload integrity checking is wanted).
     ///
+    /// Opening decodes no set: each corpus is wrapped by
+    /// [`LayeredCorpus::from_preprocessed`], so the first read is
+    /// served straight from the snapshot. The transaction mirror that
+    /// writes, compaction and `Mine` need is rebuilt by the first of
+    /// them, under the shared lock, so reads keep flowing meanwhile.
+    ///
     /// # Panics
     /// Panics if `paths` is empty (an engine needs at least one corpus).
     pub fn open_snapshots<P: AsRef<std::path::Path>>(
@@ -395,7 +410,7 @@ impl QueryEngine {
                 // order, universe bounds) lives in the corpus so it is
                 // identical for every caller; `ingest.apply` faults
                 // surface here as typed errors with the state untouched.
-                let outcome = write_recover(&corp.state).insert_txn(tid, &items);
+                let outcome = corp.write().insert_txn(tid, &items);
                 send(
                     reply,
                     id,
@@ -406,7 +421,7 @@ impl QueryEngine {
                 );
             }
             Request::Remove { tid } => {
-                let outcome = write_recover(&corp.state).remove_txn(tid);
+                let outcome = corp.write().remove_txn(tid);
                 send(
                     reply,
                     id,
@@ -417,6 +432,8 @@ impl QueryEngine {
                 );
             }
             Request::Flush => {
+                // A clean corpus compacts to a no-op, and a dirty one
+                // has filled its mirror on the write that dirtied it.
                 let mut state = write_recover(&corp.state);
                 let folded = state.delta_memberships();
                 send(
@@ -517,7 +534,7 @@ impl QueryEngine {
         // Exclusive: mining compacts pending deltas first (so level 2
         // runs the tiled pipeline over a clean arena) and must not race
         // writes. Readers drain before the lock grants.
-        let mut state = write_recover(&corp.state);
+        let mut state = corp.write();
         let report = match state.mine(config) {
             Ok(report) => report,
             Err(e) => return Response::Error(e.to_string()),

@@ -441,6 +441,49 @@ fn faulted_window_expiry_leaks_no_transaction() {
     assert_eq!(report.itemsets, scratch.itemsets);
 }
 
+/// The first write after a cold open rebuilds the transaction mirror
+/// and then faults: the corpus answers as before (no delta, no new
+/// version, the same transactions), and the retried write lands.
+#[test]
+fn faulted_first_write_after_a_cold_open_changes_nothing() {
+    let _guard = guarded();
+    let d = writable_db();
+    let mut cold = LayeredCorpus::from_preprocessed(corpus(&d), 7);
+    let tid = 210;
+    let items = write_items(tid);
+    batmap::fault::arm("ingest.apply", "error(chaos first write)x1").unwrap();
+    assert!(matches!(
+        cold.insert_txn(tid, &items),
+        Err(IngestError::Fault(_))
+    ));
+    assert!(!cold.is_dirty());
+    assert_eq!(cold.version(), 0);
+    assert_eq!(cold.database().transactions(), d.transactions());
+    let untouched = LayeredCorpus::new(&d, 7, 128, EngineOptions::auto().repr(ReprPolicy::Hybrid));
+    for a in 0..20 {
+        for b in 0..20 {
+            assert_eq!(
+                cold.pair_count(a, b),
+                untouched.pair_count(a, b),
+                "({a},{b})"
+            );
+        }
+    }
+
+    assert_eq!(cold.insert_txn(tid, &items), Ok(items.len() as u64));
+    let mut written = d.transactions().to_vec();
+    written[tid as usize] = items;
+    let written = TransactionDb::new(20, written);
+    assert_eq!(cold.database().transactions(), written.transactions());
+    let fresh = LayeredCorpus::new(&written, 7, 128, EngineOptions::auto());
+    for a in 0..20 {
+        assert_eq!(cold.count(a), fresh.count(a), "count({a})");
+        for b in 0..20 {
+            assert_eq!(cold.pair_count(a, b), fresh.pair_count(a, b), "({a},{b})");
+        }
+    }
+}
+
 /// Concurrent retrying clients mixing writes and reads while the apply
 /// path and both connection directions fault. Each client owns a
 /// disjoint block of free slots, so every slot's final state is decided

@@ -17,9 +17,14 @@
 //! failed-insertion corrections, delta writes and compaction run
 //! together.
 
-use batmap::{EngineOptions, Parallelism, ReprPolicy};
-use fim::TransactionDb;
-use pairminer::{Engine, LayeredCorpus, LevelwiseConfig, LevelwiseMiner, MinerConfig};
+use batmap::hash::InversePerms;
+use batmap::{EngineOptions, Parallelism, ReprPolicy, SetRepr};
+use fim::{TransactionDb, VerticalDb};
+use pairminer::ingest::transactions_of;
+use pairminer::{
+    preprocess_with, Engine, LayeredCorpus, LevelwiseConfig, LevelwiseMiner, MinerConfig,
+    Preprocessed,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,6 +32,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Cases of the interleaving property in which some corpus (initial,
 /// compacted or rebuilt) held failed insertions.
 static CASES_WITH_FAILURES: AtomicUsize = AtomicUsize::new(0);
+
+/// Corpora of the lazy-mirror property that held failed insertions,
+/// and that the mirror rebuild decoded with and without `πₜ⁻¹` tables.
+static MIRRORS_WITH_FAILURES: AtomicUsize = AtomicUsize::new(0);
+static MIRRORS_TABLED: AtomicUsize = AtomicUsize::new(0);
+static MIRRORS_FEISTEL: AtomicUsize = AtomicUsize::new(0);
 
 /// One scripted step of the interleaving.
 #[derive(Debug, Clone)]
@@ -62,6 +73,14 @@ fn derive_items(bits: u64, n: u32) -> Vec<u32> {
         items.push((bits % n as u64) as u32);
     }
     items
+}
+
+/// splitmix64's output mix: a well-spread draw per input.
+fn splitmix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Brute-force pair count over the model's live transactions.
@@ -258,4 +277,153 @@ fn compaction_placement_is_query_invisible() {
     }
     assert!(!eager.is_dirty());
     assert!(lazy.is_dirty());
+}
+
+/// The first operation after `from_preprocessed` that needs the
+/// transaction mirror.
+#[derive(Debug, Clone, Copy)]
+enum FirstUse {
+    Insert,
+    Remove,
+    Compact,
+    Database,
+    LiveTransactions,
+}
+
+/// Whether the mirror rebuild of `pre` inverts batmap slots through
+/// the `πₜ⁻¹` tables (the cost rule of [`InversePerms::for_elements`]).
+fn rebuild_is_tabled(pre: &Preprocessed) -> bool {
+    let batmap_elements = (0..pre.n_items as usize)
+        .map(|s| pre.payload(s))
+        .filter(|view| view.repr() == SetRepr::Batmap)
+        .map(|view| view.len() as u64)
+        .sum();
+    InversePerms::for_elements(pre.params.perms(), batmap_elements).is_tabled()
+}
+
+/// The lazy mirror (see [`check_lazy_mirror`]).
+#[test]
+fn lazy_mirror_equals_the_source_transactions() {
+    check_lazy_mirror();
+    assert!(
+        MIRRORS_WITH_FAILURES.load(Ordering::Relaxed) > 0,
+        "no generated corpus dropped an insertion at MaxLoop 1"
+    );
+    assert!(
+        MIRRORS_TABLED.load(Ordering::Relaxed) > 0,
+        "no tabled rebuild"
+    );
+    assert!(
+        MIRRORS_FEISTEL.load(Ordering::Relaxed) > 0,
+        "no per-element rebuild"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    // The mirror a snapshot-style corpus rebuilds on first use equals
+    // the transactions it was preprocessed from, and the first write,
+    // compaction or mirror read on it matches the same operation on a
+    // corpus built straight from the database. Universes sit just below,
+    // at and just above a power of 4 — the Feistel domain, so every
+    // walk length from 1 to 4. Every slot is free with probability
+    // `free_quarters / 4` and otherwise holds each item with
+    // probability 1/2, so dense databases store the ≥ 3·m batmap
+    // elements that pay for the `πₜ⁻¹` tables and sparse ones do not,
+    // while every item's set stays far from full (a wrong inversion
+    // shows).
+    fn check_lazy_mirror(
+        n in 1u32..16,
+        k in 1u32..6,
+        offset in 0u32..3,
+        free_quarters in 0u64..4,
+        txn_seed in any::<u64>(),
+        pick in any::<u32>(),
+        bits in any::<u64>(),
+        seed in 0u64..100,
+    ) {
+        let m = 4u32.pow(k) - 1 + offset;
+        let txns: Vec<Vec<u32>> = (0..m as u64)
+            .map(|i| {
+                let draw = splitmix(txn_seed ^ i);
+                if draw % 4 < free_quarters {
+                    Vec::new()
+                } else {
+                    derive_items(draw >> 2, n)
+                }
+            })
+            .collect();
+        let db = TransactionDb::new(n, txns);
+        let tid = pick % m;
+        for policy in [ReprPolicy::Batmap, ReprPolicy::Hybrid] {
+            for threads in 1..=3 {
+                for max_loop in [1, 128] {
+                    let options = EngineOptions::auto()
+                        .repr(policy)
+                        .threads(Parallelism::threads(threads));
+                    let pre = preprocess_with(&VerticalDb::from_horizontal(&db), seed, max_loop, options);
+                    if !pre.failed.is_empty() {
+                        MIRRORS_WITH_FAILURES.fetch_add(1, Ordering::Relaxed);
+                    }
+                    if rebuild_is_tabled(&pre) {
+                        MIRRORS_TABLED.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        MIRRORS_FEISTEL.fetch_add(1, Ordering::Relaxed);
+                    }
+                    prop_assert_eq!(&transactions_of(&pre), db.transactions());
+                    for first in [
+                        FirstUse::Insert,
+                        FirstUse::Remove,
+                        FirstUse::Compact,
+                        FirstUse::Database,
+                        FirstUse::LiveTransactions,
+                    ] {
+                        let mut lazy = LayeredCorpus::from_preprocessed(pre.clone(), seed);
+                        let mut eager = LayeredCorpus::new(&db, seed, max_loop, options);
+                        match first {
+                            FirstUse::Insert => {
+                                // A free slot takes new items; a live one
+                                // answers the idempotent re-insert.
+                                let live = db.transactions()[tid as usize].clone();
+                                let items = if live.is_empty() { derive_items(bits, n) } else { live };
+                                prop_assert_eq!(
+                                    lazy.insert_txn(tid, &items),
+                                    eager.insert_txn(tid, &items)
+                                );
+                            }
+                            FirstUse::Remove => {
+                                prop_assert_eq!(lazy.remove_txn(tid), eager.remove_txn(tid));
+                            }
+                            FirstUse::Compact => {
+                                let job = lazy.begin_compaction();
+                                prop_assert_eq!(&transactions_of(&job.build()), db.transactions());
+                                prop_assert_eq!(lazy.compact(), eager.compact());
+                            }
+                            FirstUse::Database => {
+                                prop_assert_eq!(lazy.database(), eager.database());
+                            }
+                            FirstUse::LiveTransactions => {
+                                prop_assert_eq!(
+                                    lazy.live_transactions(),
+                                    eager.live_transactions()
+                                );
+                            }
+                        }
+                        prop_assert_eq!(
+                            lazy.database(),
+                            eager.database(),
+                            "after {:?} under {:?}, {} threads, MaxLoop {}, m {}",
+                            first, policy, threads, max_loop, m
+                        );
+                        prop_assert_eq!(lazy.version(), eager.version());
+                        for a in 0..n {
+                            prop_assert_eq!(lazy.count(a), eager.count(a), "count({})", a);
+                            prop_assert_eq!(lazy.member(a, tid), eager.member(a, tid));
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
